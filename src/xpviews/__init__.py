@@ -5,6 +5,7 @@ normalizer, and the prefix-driven rewriting algorithms."""
 from .syntax import Dialect, DialectError, XPathSyntaxError, parse, print_expr
 from .pattern import (
     EMPTY,
+    CapExceeded,
     LabelMismatch,
     NotMainBranch,
     Pattern,
@@ -55,7 +56,6 @@ from .containment import (
     tree_contains,
 )
 from .interleaving import (
-    CapExceeded,
     Interleaving,
     interleavings,
     is_satisfiable,

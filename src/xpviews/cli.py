@@ -15,27 +15,24 @@ import os
 import sys
 from .syntax import Dialect, DialectError, XPathSyntaxError, parse, print_expr
 from .pattern import (
-    EMPTY,
+    CapExceeded,
     ViewSet,
     dag_from_expr,
     pattern_to_json,
     to_text,
     tree_from_text,
-    unfold_expr,
 )
 from .containment import minimize, tree_contains, equivalent
 from .documents import (
     eval_plan,
     eval_tree_pattern,
     eval_dag_pattern,
-    generate_tree,
     materialize_all,
     parse_xml,
     print_xml,
-    TreeGenConfig,
 )
 from .interleaving import interleavings, union_free_oracle
-from .rules import apply_rules, CapExceeded
+from .rules import apply_rules
 from .rewrite import (
     EFFICIENT,
     FULL,

@@ -100,7 +100,7 @@ def find_mapping(
         for pa, k in src.in_edges(a):
             if pa in assign:
                 if k == CHILD:
-                    if dst.edges.get((assign[pa], x)) not in (CHILD, "both"):
+                    if (assign[pa], x, CHILD) not in dst.edges:
                         return False
                 else:
                     if not dst.reaches(assign[pa], x):
@@ -122,11 +122,6 @@ def find_mapping(
     if not search(0):
         return None
     return PatternMapping(src, dst, dict(assign), kind)
-
-
-def has_root_mapping(src: Pattern, dst: Pattern, out_image: Optional[int] = None) -> bool:
-    fixed = {src.out: out_image} if out_image is not None else None
-    return find_mapping(src, dst, ROOT_MAPPING, fixed=fixed) is not None
 
 
 def root_mapping_out_images(src: Pattern, dst: Pattern) -> list[int]:

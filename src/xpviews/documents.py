@@ -86,13 +86,6 @@ class XmlTree:
     def subtree_nodes(self, n: int) -> list[int]:
         return [n] + self.descendants(n)
 
-    def depth(self, n: int) -> int:
-        d = 0
-        while self.parent[n] is not None:
-            n = self.parent[n]
-            d += 1
-        return d
-
 
 # ---------------------------------------------------------------------------
 # XML text form (elements + text only)
@@ -141,13 +134,6 @@ def _escape(s: str) -> str:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _node_ok(p: Pattern, pn: int, t: XmlTree, x: int) -> bool:
-    if p.label(pn) != t.labels[x]:
-        return False
-    req = p.test(pn)
-    return req is None or t.texts[x] == req
 
 
 def _strict_ancestors(t: XmlTree, nodes: Iterable[int]) -> set[int]:
@@ -328,10 +314,11 @@ def view_document_to_xml(vd: ViewDocument) -> str:
     """Serialize a view document; each answer root carries a reserved
     ``__origid`` marker element holding its original node id."""
     marked = XmlTree()
+    answer_roots = set(vd.answer_roots)
 
     def copy(n: int, parent: Optional[int]) -> int:
         nid = marked.add_node(vd.tree.labels[n], parent, vd.tree.texts[n])
-        if n in vd.answer_roots:
+        if n in answer_roots:
             marked.add_node(ORIGID_LABEL, nid, str(vd.originals[n]))
         for c in vd.tree.children[n]:
             copy(c, nid)

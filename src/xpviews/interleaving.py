@@ -13,13 +13,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .syntax import CHILD, DESC
-from .pattern import EMPTY, Pattern, canon_key, _copy_subtree
+from .pattern import EMPTY, CapExceeded, Pattern, canon_key, _copy_subtree
 
 DEFAULT_CAP = 10**6
-
-
-class CapExceeded(RuntimeError):
-    """Enumeration exceeded the configured bound."""
 
 
 @dataclass

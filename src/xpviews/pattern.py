@@ -44,6 +44,10 @@ class LabelMismatch(ValueError):
     """Collapse requires equal labels."""
 
 
+class CapExceeded(RuntimeError):
+    """A rule fixpoint or an interleaving enumeration exceeded its bound."""
+
+
 @dataclass(frozen=True)
 class PNode:
     label: str
@@ -70,8 +74,10 @@ class Pattern:
 
     def __init__(self):
         self.nodes: dict[int, PNode] = {}
-        # edges[(src, dst)] = axis; kids/pars are derived adjacency.
-        self.edges: dict[tuple[int, int], str] = {}
+        # One (src, dst, axis) triple per edge, axis CHILD or DESC; a pair
+        # joined by both a / and a // edge holds two.  kids/pars are derived
+        # adjacency.
+        self.edges: set[tuple[int, int, str]] = set()
         self.root: int = -1
         self.out: int = -1
         self._next = 0
@@ -89,34 +95,21 @@ class Pattern:
         return nid
 
     def add_edge(self, src: int, dst: int, axis: str) -> None:
-        old = self.edges.get((src, dst))
-        # A / and a // edge between the same pair: keep both only when they
-        # were added separately (dag construction); callers that must
-        # normalize use collapse or the rule engine.
-        if old is None or old == axis:
-            self.edges[(src, dst)] = axis if old is None else old
-        else:
-            # store the duplicate pair as two logical edges via marker
-            self.edges[(src, dst)] = "both"
+        # Adding a / edge next to a // edge of the same pair (dag
+        # construction) keeps both triples; callers that must normalize use
+        # collapse or the rule engine.
+        self.edges.add((src, dst, axis))
         self._dirty()
 
-    def remove_edge(self, src: int, dst: int, axis: Optional[str] = None) -> None:
-        cur = self.edges.get((src, dst))
-        if cur is None:
-            return
-        if axis is None or cur == axis:
-            del self.edges[(src, dst)]
-        elif cur == "both":
-            self.edges[(src, dst)] = CHILD if axis == DESC else DESC
+    def remove_edge(self, src: int, dst: int, axis: str) -> None:
+        self.edges.discard((src, dst, axis))
         self._dirty()
 
     def remove_nodes(self, dead: Iterable[int]) -> None:
         dead = set(dead)
         for n in dead:
             self.nodes.pop(n, None)
-        self.edges = {
-            (a, b): k for (a, b), k in self.edges.items() if a not in dead and b not in dead
-        }
+        self.edges = {e for e in self.edges if e[0] not in dead and e[1] not in dead}
         self._dirty()
 
     def _dirty(self) -> None:
@@ -128,11 +121,9 @@ class Pattern:
         if getattr(self, "_adj", None) is None:
             kids: dict[int, list[tuple[int, str]]] = {n: [] for n in self.nodes}
             pars: dict[int, list[tuple[int, str]]] = {n: [] for n in self.nodes}
-            for (a, b), k in self.edges.items():
-                kinds = (CHILD, DESC) if k == "both" else (k,)
-                for kk in kinds:
-                    kids[a].append((b, kk))
-                    pars[b].append((a, kk))
+            for a, b, k in self.edges:
+                kids[a].append((b, k))
+                pars[b].append((a, k))
             for n in kids:
                 kids[n].sort()
                 pars[n].sort()
@@ -142,7 +133,7 @@ class Pattern:
     def clone(self) -> "Pattern":
         p = Pattern()
         p.nodes = dict(self.nodes)
-        p.edges = dict(self.edges)
+        p.edges = set(self.edges)
         p.root = self.root
         p.out = self.out
         p._next = self._next
@@ -155,6 +146,11 @@ class Pattern:
 
     def in_edges(self, n: int) -> list[tuple[int, str]]:
         return self._adjacency()[1][n]
+
+    def axis(self, a: int, b: int) -> str:
+        """Axis from ``a`` to ``b``: / when that edge exists, else // (a /
+        edge implies the //)."""
+        return CHILD if (a, b, CHILD) in self.edges else DESC
 
     def label(self, n: int) -> str:
         return self.nodes[n].label
@@ -218,8 +214,8 @@ class Pattern:
 
     def is_tree(self) -> bool:
         ins = {n: 0 for n in self.nodes}
-        for (a, b), k in self.edges.items():
-            ins[b] += 2 if k == "both" else 1
+        for _, b, _ in self.edges:
+            ins[b] += 1
         return all(c == 1 for n, c in ins.items() if n != self.root) and ins[self.root] == 0
 
     def topo_order(self) -> list[int]:
@@ -227,19 +223,15 @@ class Pattern:
 
         kids = self._adjacency()[0]
         indeg = {n: 0 for n in self.nodes}
-        for (a, b) in self.edges:
+        for _, b, _ in self.edges:
             indeg[b] += 1
         ready = [n for n, c in indeg.items() if c == 0]
         heapq.heapify(ready)
         order: list[int] = []
-        seen_edges = set()
         while ready:
             n = heapq.heappop(ready)
             order.append(n)
             for b, _ in kids[n]:
-                if (n, b) in seen_edges:
-                    continue
-                seen_edges.add((n, b))
                 indeg[b] -= 1
                 if indeg[b] == 0:
                     heapq.heappush(ready, b)
@@ -355,16 +347,14 @@ class ViewSet:
         return sorted(self.defs.items())
 
 
-def _copy_into(dst: Pattern, src: Pattern) -> dict[int, int]:
-    """Copy all of ``src`` into ``dst``; returns the id translation."""
+def _copy_into(dst: Pattern, src: Pattern, keep: Optional[Iterable[int]] = None) -> dict[int, int]:
+    """Copy ``src`` into ``dst``, or only its nodes in ``keep`` and the edges
+    among them; returns the id translation.  Nodes are added in id order."""
     ren: dict[int, int] = {}
-    for n in sorted(src.nodes):
+    for n in sorted(src.nodes if keep is None else keep):
         ren[n] = dst.add_node(src.nodes[n].label, src.nodes[n].test)
-    for (a, b), k in sorted(src.edges.items()):
-        if k == "both":
-            dst.add_edge(ren[a], ren[b], CHILD)
-            dst.add_edge(ren[a], ren[b], DESC)
-        else:
+    for a, b, k in src.edges:
+        if a in ren and b in ren:
             dst.add_edge(ren[a], ren[b], k)
     return ren
 
@@ -372,26 +362,16 @@ def _copy_into(dst: Pattern, src: Pattern) -> dict[int, int]:
 def _merge_nodes(p: Pattern, keep: int, gone: int) -> None:
     """Redirect all edges of ``gone`` onto ``keep`` and delete ``gone``.
 
-    Parallel / and // edges between one pair are both kept ("both"); the
-    // half is redundant and the rule engine removes it as a degenerate
-    branch.
+    Redirected triples join the edge set, so a / and a // edge between one
+    pair both stay; the // one is redundant and the rule engine removes it
+    as a degenerate branch.
     """
     if keep == gone:
         return
-    edges = dict(p.edges)
-    p.edges = {}
-    for (a, b), k in edges.items():
-        a2 = keep if a == gone else a
-        b2 = keep if b == gone else b
-        if a2 == b2:
-            raise ValueError("collapse would create a self loop")
-        kinds = [CHILD, DESC] if k == "both" else [k]
-        for kk in kinds:
-            old = p.edges.get((a2, b2))
-            if old is None:
-                p.edges[(a2, b2)] = kk
-            elif old != kk and old != "both":
-                p.edges[(a2, b2)] = "both"
+    edges = {(keep if a == gone else a, keep if b == gone else b, k) for a, b, k in p.edges}
+    if any(a == b for a, b, _ in edges):
+        raise ValueError("collapse would create a self loop")
+    p.edges = edges
     del p.nodes[gone]
     if p.root == gone:
         p.root = keep
@@ -517,7 +497,7 @@ def tokens(p: Pattern) -> list[Token]:
     mb = main_branch(p)
     groups: list[list[int]] = [[mb[0]]]
     for prev, cur in zip(mb, mb[1:]):
-        if p.edges[(prev, cur)] == CHILD:
+        if p.axis(prev, cur) == CHILD:
             groups[-1].append(cur)
         else:
             groups.append([cur])
@@ -535,23 +515,18 @@ def tokens(p: Pattern) -> list[Token]:
     return toks
 
 
+def _subpattern_with_map(d: Pattern, n: int) -> tuple[Pattern, dict[int, int]]:
+    """SUB(d, n) and the translation of ``d``'s ids into it."""
+    p = Pattern()
+    ren = _copy_into(p, d, d.descendants(n) | {n})
+    p.root = ren[n]
+    p.out = ren.get(d.out, p.root)
+    return p, ren
+
+
 def subpattern_at(d: Pattern, n: int) -> Pattern:
     """Subpattern rooted at ``n`` (SUB): everything reachable from it."""
-    keep = d.descendants(n) | {n}
-    p = Pattern()
-    ren = {}
-    for x in sorted(keep):
-        ren[x] = p.add_node(d.nodes[x].label, d.nodes[x].test)
-    for (a, b), k in sorted(d.edges.items()):
-        if a in keep and b in keep:
-            if k == "both":
-                p.add_edge(ren[a], ren[b], CHILD)
-                p.add_edge(ren[a], ren[b], DESC)
-            else:
-                p.add_edge(ren[a], ren[b], k)
-    p.root = ren[n]
-    p.out = ren[d.out] if d.out in keep else ren[n]
-    return p
+    return _subpattern_with_map(d, n)[0]
 
 
 def tp_of_path(d: Pattern, path: list[int]) -> Pattern:
@@ -562,8 +537,7 @@ def tp_of_path(d: Pattern, path: list[int]) -> Pattern:
     for n in path:
         ren[n] = p.add_node(d.nodes[n].label, d.nodes[n].test)
         if prev is not None:
-            k = d.edges[(prev, n)]
-            p.add_edge(ren[prev], ren[n], CHILD if k in (CHILD, "both") else DESC)
+            p.add_edge(ren[prev], ren[n], d.axis(prev, n))
         prev = n
     for n in path:
         for b, k in d.pred_edges(n):
@@ -616,9 +590,8 @@ def to_ast(p: Pattern) -> Path:
 
 
 def _step_of(p: Pattern, parent: int, n: int) -> Step:
-    k = p.edges[(parent, n)]
-    preds = tuple(_pred_of(p, b, kk) for b, kk in p.pred_edges(n))
-    return Step(p.label(n), CHILD if k in (CHILD, "both") else DESC, preds)
+    preds = tuple(_pred_of(p, b, k) for b, k in p.pred_edges(n))
+    return Step(p.label(n), p.axis(parent, n), preds)
 
 
 def _pred_of(p: Pattern, sub_root: int, axis: str) -> Pred:
@@ -707,7 +680,7 @@ def pattern_to_json(p) -> str:
         ],
         "edges": [
             {"from": a, "to": b, "kind": k}
-            for (a, b), k in sorted(p.edges.items())
+            for a, b, k in sorted(p.edges)
         ],
         "root": p.root,
         "output": p.out,
@@ -724,7 +697,9 @@ def pattern_from_json(text: str):
         p.nodes[nd["id"]] = PNode(nd["label"], nd.get("test"))
         p._next = max(p._next, nd["id"] + 1)
     for ed in doc["edges"]:
-        p.edges[(ed["from"], ed["to"])] = ed["kind"]
+        if ed["kind"] not in (CHILD, DESC):
+            raise ValueError(f"unknown edge kind {ed['kind']!r}")
+        p.add_edge(ed["from"], ed["to"], ed["kind"])
     p.root = doc["root"]
     p.out = doc["output"]
     p.validate()
@@ -743,4 +718,6 @@ def canon_key(p: Pattern, n: Optional[int] = None):
     kids = tuple(
         sorted((k, canon_key(p, b)) for b, k in p.out_edges(n))
     )
-    return (p.label(n), p.test(n), n == p.out, kids)
+    # the empty test sorts before every text test
+    test = p.test(n)
+    return (p.label(n), (test is not None, test or ""), n == p.out, kids)

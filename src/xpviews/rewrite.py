@@ -14,37 +14,23 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .syntax import (
-    CHILD,
-    DESC,
-    Compensated,
-    Dialect,
-    Expr,
-    Intersect,
-    Path,
-    Step,
-    print_expr,
-)
+from .syntax import CHILD, Compensated, Expr, Intersect, Path, Step, print_expr
 from .pattern import (
     EMPTY,
     Pattern,
     ViewSet,
-    _copy_subtree,
+    _copy_into,
+    _merge_nodes,
+    _pred_of,
     compensate_expr,
     compensate_pattern,
-    dag_intersect,
     lossless_prefixes,
     main_branch,
-    subpattern_at,
-    to_text,
     tokens,
-    tree_from_ast,
     unfold_expr,
 )
 from .containment import (
     CONTAINMENT,
-    ROOT_MAPPING,
-    dag_contained_in_dag,
     dag_contained_in_tree,
     find_mapping,
     minimize,
@@ -52,7 +38,6 @@ from .containment import (
     tree_contains,
 )
 from .fragments import FragmentClass, classify, extended_skeleton, root_token_code
-from .interleaving import interleavings
 from .rules import TraceStep, apply_rules
 
 log = logging.getLogger(__name__)
@@ -342,8 +327,6 @@ class RewritingGraph:
                 n = alias[n]
             return n
 
-        from .pattern import _copy_into, _merge_nodes
-
         roots = []
         for node, v in parts:
             ren = _copy_into(acc, v)
@@ -370,8 +353,6 @@ class RewritingGraph:
         head; later nodes' predicates are carried by the connecting
         segments.
         """
-        from .pattern import _pred_of
-
         base = self.base
         mb = [n for n in main_branch_order(base) if n in self.attachments]
         cur: Optional[Expr] = None
@@ -417,12 +398,8 @@ def _segment_steps(p: Pattern, a: int, b: int) -> tuple[Step, ...]:
     chain.reverse()
     steps = []
     for prev, cur in zip(chain, chain[1:]):
-        k = p.edges[(prev, cur)]
-        axis = CHILD if k in (CHILD, "both") else DESC
-        from .pattern import _pred_of
-
         preds = tuple(_pred_of(p, bb, kk) for bb, kk in p.pred_edges(cur))
-        steps.append(Step(p.label(cur), axis, preds))
+        steps.append(Step(p.label(cur), p.axis(prev, cur), preds))
     return tuple(steps)
 
 

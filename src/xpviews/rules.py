@@ -17,13 +17,14 @@ from typing import Iterator, Optional
 from .syntax import CHILD, DESC
 from .pattern import (
     EMPTY,
+    CapExceeded,
     Pattern,
     _copy_subtree,
     _merge_nodes,
+    _subpattern_with_map,
     canon_key,
     main_branch,
     singleton_pattern,
-    subpattern_at,
     tp_of_path,
 )
 from .containment import (
@@ -33,10 +34,6 @@ from .containment import (
     find_mapping,
 )
 from .fragments import added_pred_keeps_es
-
-
-class CapExceeded(RuntimeError):
-    """Internal assertion: the termination bound was exceeded."""
 
 
 @dataclass
@@ -325,25 +322,21 @@ def _chain_maps(d: Pattern, chain: list[int], run: list[int], n0: int, nc: int) 
     m = len(run)
     results: list[dict[int, int]] = []
 
-    def kind(a: int, b: int) -> str:
-        k = d.edges[(a, b)]
-        return CHILD if k in (CHILD, "both") else DESC
-
     def rec(i: int, prev_pos: int, acc: dict[int, int]) -> None:
         if i == len(chain):
             last = chain[-1]
-            k = kind(last, nc)
+            k = d.axis(last, nc)
             if k == CHILD and acc[last] != m - 1:
                 return
             results.append(dict(acc))
             return
         node = chain[i]
         if i == 0:
-            k = kind(n0, node)
+            k = d.axis(n0, node)
             lo = 0
             exact = 0 if k == CHILD else None
         else:
-            k = kind(chain[i - 1], node)
+            k = d.axis(chain[i - 1], node)
             lo = prev_pos + 1
             exact = prev_pos + 1 if k == CHILD else None
         for pos in range(lo, m):
@@ -639,9 +632,7 @@ class _Engine:
                 if i == 0:
                     seq.append((d.label(x), None))
                 else:
-                    k = d.edges.get((nodes[i - 1], x), DESC)
-                    k = CHILD if k in (CHILD, "both") else DESC
-                    seq.append((d.label(x), k))
+                    seq.append((d.label(x), d.axis(nodes[i - 1], x)))
             if _linear_maps_into_run(seq, run_labels):
                 return False
         return True
@@ -760,10 +751,8 @@ class _Engine:
     def try_r7(self) -> bool:
         d = self.w
         # degenerate branch: a //-edge parallel to another main-branch path
-        for (a, b), k in sorted(d.edges.items()):
-            if a not in d.mb_nodes() or b not in d.mb_nodes():
-                continue
-            if k not in (DESC, "both"):
+        for a, b, k in sorted(d.edges):
+            if k != DESC or a not in d.mb_nodes() or b not in d.mb_nodes():
                 continue
             if self._has_other_path(a, b):
                 before = self.snap()
@@ -781,7 +770,7 @@ class _Engine:
                 (n5, kout), = outs
                 if kin != DESC or kout != DESC:
                     continue
-                between = set(d.descendants(n1) & self._anc_set(n5)) - set(p2)
+                between = set(d.descendants(n1) & self._ancestors(n5)) - set(p2)
                 between.discard(n1)
                 between.discard(n5)
                 between &= d.mb_nodes()
@@ -808,18 +797,12 @@ class _Engine:
                 return True
         return False
 
-    def _anc_set(self, n: int) -> set[int]:
-        d = self.w
-        return {x for x in d.nodes if d.reaches(x, n)}
-
     def _has_other_path(self, a: int, b: int) -> bool:
         """Path from a to b using main-branch edges other than (a, b)."""
         d = self.w
         mbn = d.mb_nodes()
+        # a parallel / edge (a, b) is such a path: it implies the //
         stack = [x for x, k in d.mb_out_edges(a) if x != b or k == CHILD]
-        # a / edge (a,b) alone implies the // edge as well
-        if d.edges.get((a, b)) == "both":
-            return True
         seen = set()
         while stack:
             x = stack.pop()
@@ -831,17 +814,13 @@ class _Engine:
             stack.extend(y for y, _ in d.mb_out_edges(x))
         return False
 
-    def _runs_between(self, n0: int, nc: int, exclude: set[int]) -> Optional[list[int]]:
-        run = _slash_run_between(self.w, n0, nc, frozenset(exclude))
-        return run
-
     def try_r8(self) -> bool:
         d = self.w
         for chain in _chains(d):
             head, tail = chain[0], chain[-1]
             (n0, _), = d.mb_in_edges(head)
             (nc, _), = d.mb_out_edges(tail)
-            run = self._runs_between(n0, nc, set(chain))
+            run = _slash_run_between(d, n0, nc, frozenset(chain))
             if run is None or not run:
                 continue
             # n0/run/nc must be a pure /-run
@@ -879,7 +858,7 @@ class _Engine:
             head, tail = chain[0], chain[-1]
             (n0, _), = d.mb_in_edges(head)
             (nc, _), = d.mb_out_edges(tail)
-            run = self._runs_between(n0, nc, set(chain))
+            run = _slash_run_between(d, n0, nc, frozenset(chain))
             if run is None or not run:
                 continue
             maps = _chain_maps(d, chain, run, n0, nc)
@@ -919,42 +898,26 @@ class _Engine:
                     return True
         return False
 
+    # rule name -> (method, arguments)
+    RULES = {
+        "R2i": (try_r2, ("R2i",)),
+        "R2ii": (try_r2, ("R2ii",)),
+        "R3i": (try_r3, ("R3i",)),
+        "R3ii": (try_r3, ("R3ii",)),
+        "R4i": (try_r4, ("R4i",)),
+        "R4ii": (try_r4, ("R4ii",)),
+        "R5": (try_r5, ()),
+        "R6": (try_r6, ()),
+        "R7": (try_r7, ()),
+        "R8": (try_r8, ()),
+        "R9": (try_r9, ()),
+    }
+
     def try_rule(self, rule: str) -> bool:
-        if rule in ("R2i", "R2ii"):
-            return self.try_r2(rule)
-        if rule in ("R3i", "R3ii"):
-            return self.try_r3(rule)
-        if rule in ("R4i", "R4ii"):
-            return self.try_r4(rule)
-        if rule == "R5":
-            return self.try_r5()
-        if rule == "R6":
-            return self.try_r6()
-        if rule == "R7":
-            return self.try_r7()
-        if rule == "R8":
-            return self.try_r8()
-        if rule == "R9":
-            return self.try_r9()
-        raise ValueError(rule)
-
-
-def _subpattern_with_map(d: Pattern, n: int) -> tuple[Pattern, dict[int, int]]:
-    keep = sorted(d.descendants(n) | {n})
-    p = Pattern()
-    ren = {}
-    for x in keep:
-        ren[x] = p.add_node(d.nodes[x].label, d.nodes[x].test)
-    for (a, b), k in sorted(d.edges.items()):
-        if a in ren and b in ren:
-            if k == "both":
-                p.add_edge(ren[a], ren[b], CHILD)
-                p.add_edge(ren[a], ren[b], DESC)
-            else:
-                p.add_edge(ren[a], ren[b], k)
-    p.root = ren[n]
-    p.out = ren[d.out] if d.out in ren else ren[n]
-    return p, ren
+        if rule not in self.RULES:
+            raise ValueError(rule)
+        method, args = self.RULES[rule]
+        return method(self, *args)
 
 
 def _linear_maps_into_run(seq: list[tuple[str, Optional[str]]], run_labels: list[str]) -> bool:

@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import CHILD, DESC
-from .pattern import (
-    EMPTY,
-    Pattern,
-    ViewSet,
-    _copy_subtree,
-    lossless_prefixes,
-    main_branch,
-    to_text,
-)
+from .pattern import CapExceeded, Pattern, ViewSet, lossless_prefixes, main_branch
 from .containment import equivalent, find_mapping, ROOT_MAPPING
 from .documents import (
     TreeGenConfig,
@@ -165,11 +157,12 @@ def _generalize(rng: random.Random, q: Pattern) -> Optional[Pattern]:
             moves += 1
             mb = mb[:cut]
     slash_edges = [
-        (a, b) for (a, b), k in sorted(v.edges.items()) if k == CHILD and b in v.mb_nodes()
+        (a, b) for a, b, k in sorted(v.edges) if k == CHILD and b in v.mb_nodes()
     ]
     for (a, b) in slash_edges:
         if rng.random() < 0.35:
-            v.edges[(a, b)] = DESC
+            v.remove_edge(a, b, CHILD)
+            v.add_edge(a, b, DESC)
             moves += 1
     for n in list(v.mb_nodes()):
         for b, k in v.pred_edges(n):
@@ -178,7 +171,6 @@ def _generalize(rng: random.Random, q: Pattern) -> Optional[Pattern]:
                 moves += 1
     if moves == 0:
         return None
-    v._dirty()
     return v
 
 
@@ -304,8 +296,6 @@ def _median_time(fn, warmup: int = 3, reps: int = 7) -> float:
 
 
 def bench(cfg: GenConfig, mode: str = EFFICIENT, warmup: int = 3, reps: int = 7) -> BenchReport:
-    from .rules import CapExceeded
-
     t, q, views = generate_workload(cfg)
     status = "rewritten"
     try:

@@ -156,7 +156,7 @@ def two_branch_merges(p1: Pattern, p2: Pattern) -> set:
             spine.append(nid)
             if k:
                 slash = any(
-                    pp is pp2 and pp.edges.get((n, n2)) in (CHILD, "both")
+                    pp is pp2 and (n, n2, CHILD) in pp.edges
                     for (pp, n) in entries[k - 1]
                     for (pp2, n2) in group
                 )
@@ -180,13 +180,13 @@ def two_branch_merges(p1: Pattern, p2: Pattern) -> set:
         in_prev_1 = i > 0 and (p1, b1[i - 1]) in prev
         in_prev_2 = j > 0 and (p2, b2[j - 1]) in prev
         forced1 = (
-            i < len(b1) and in_prev_1 and p1.edges[(b1[i - 1], b1[i])] == CHILD
+            i < len(b1) and in_prev_1 and (b1[i - 1], b1[i], CHILD) in p1.edges
         )
         forced2 = (
-            j < len(b2) and in_prev_2 and p2.edges[(b2[j - 1], b2[j])] == CHILD
+            j < len(b2) and in_prev_2 and (b2[j - 1], b2[j], CHILD) in p2.edges
         )
-        can1 = i < len(b1) and (p1.edges[(b1[i - 1], b1[i])] != CHILD or in_prev_1)
-        can2 = j < len(b2) and (p2.edges[(b2[j - 1], b2[j])] != CHILD or in_prev_2)
+        can1 = i < len(b1) and ((b1[i - 1], b1[i], CHILD) not in p1.edges or in_prev_1)
+        can2 = j < len(b2) and ((b2[j - 1], b2[j], CHILD) not in p2.edges or in_prev_2)
         # the coalesced output occupies one position: neither tail may be
         # placed alone while the other chain still has nodes left
         last1 = i == len(b1) - 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from xpviews import CapExceeded
 from xpviews.cli import main
 from xpviews.documents import generate_tree, print_xml, TreeGenConfig
 
@@ -168,3 +169,13 @@ def test_bench_seed_env_and_config(tmp_path, capsys, monkeypatch):
     header, row = out.strip().splitlines()[:2]
     assert "seed" in header
     assert row.startswith("9,")
+
+
+def test_interleave_cap_exceeded_exit_code(capsys, monkeypatch):
+    def overrun(d, cap=None):
+        raise CapExceeded("more than 0 interleavings")
+        yield
+
+    monkeypatch.setattr("xpviews.cli.interleavings", overrun)
+    code, _, err = run(capsys, "interleave", 'doc("L")//a & doc("L")/a', "--count")
+    assert code == 2 and "cap exceeded" in err

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from xpviews import (
@@ -35,7 +37,7 @@ def test_tree_from_ast_section_theorem():
     assert p.size() == 3
     mb = main_branch(p)
     assert [p.label(n) for n in mb] == ["L", "section"]
-    assert p.edges[(mb[0], mb[1])] == DESC
+    assert [k for a, b, k in p.edges if (a, b) == (mb[0], mb[1])] == [DESC]
     (pred, kind), = p.pred_edges(p.out)
     assert p.label(pred) == "theorem" and kind == CHILD
 
@@ -56,8 +58,8 @@ def test_tree_from_ast_running_query():
 def test_dag_coalesces_roots_and_outputs():
     d = dag_from_expr(parse('doc("L")//a & doc("L")/a'))
     assert d.size() == 2
-    kinds = sorted(k for (x, y), k in d.edges.items())
-    assert kinds == ["both"] or kinds == [CHILD, DESC]
+    kinds = sorted(k for _, _, k in d.edges)
+    assert kinds == [CHILD, DESC]
     # brute-force interleaving oracle: exactly doc("L")/a survives
     p1 = tree_from_text('doc("L")//a')
     p2 = tree_from_text('doc("L")/a')
@@ -188,6 +190,16 @@ def test_json_round_trip():
     assert back.size() == d.size()
     assert pattern_to_json(back) == text
     assert pattern_from_json(pattern_to_json(EMPTY)) is EMPTY
+    # a / and a // edge between one pair are two records
+    par = dag_from_expr(parse('doc("L")//a & doc("L")/a'))
+    text = pattern_to_json(par)
+    doc = json.loads(text)
+    assert [e["kind"] for e in doc["edges"]] == [CHILD, DESC]
+    assert pattern_to_json(pattern_from_json(text)) == text
+    for kind in ("both", "sideways"):
+        doc["edges"][1]["kind"] = kind
+        with pytest.raises(ValueError, match="edge kind"):
+            pattern_from_json(json.dumps(doc))
 
 
 def test_print_pattern_round_trip():

@@ -13,6 +13,7 @@ from xpviews import (
     build_rewrite_candidate,
     dag_contained_in_dag,
     dag_contained_in_tree,
+    equivalent,
     eval_plan,
     eval_tree_pattern,
     filter_prefixes_by_keys,
@@ -262,6 +263,17 @@ def test_nested_rewrite_navigates_inside_answers():
     graph = nested_rewrite(q, vs)
     assert graph is not None
     assert print_expr(graph.to_expr()) == 'doc("v")/v//zz'
+
+
+def test_text_test_beside_bare_sibling():
+    # sibling subpatterns with one label, one carrying a text test and one
+    # not, must have comparable canonical keys
+    q = tree_from_text('doc("L")/a[b="x"]/b')
+    assert equivalent(q, q)
+    vs = ViewSet.from_texts({"v1": 'doc("L")/a/b', "v2": 'doc("L")//a[b="x"]/b'})
+    graph = nested_rewrite(q, vs)
+    assert graph is not None
+    assert print_expr(graph.to_expr()) == 'doc("v1")/v1 & doc("v2")/v2'
 
 
 def test_nested_plan_evaluates_like_query():
