@@ -26,7 +26,6 @@ from .containment import minimize, tree_contains, equivalent
 from .documents import (
     eval_plan,
     eval_tree_pattern,
-    eval_dag_pattern,
     materialize_all,
     parse_xml,
     print_xml,
@@ -208,8 +207,7 @@ def cmd_eval(args) -> int:
         res = eval_plan(expr, docs)
     else:
         expr = parse(_read_expr_arg(args.query))
-        d = dag_from_expr(expr)
-        res = eval_dag_pattern(d, t) if not d.is_tree() else eval_tree_pattern(d, t)
+        res = eval_tree_pattern(dag_from_expr(expr), t)
     print(json.dumps({"count": len(res), "nodes": sorted(res)}))
     return OK
 

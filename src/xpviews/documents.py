@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .syntax import CHILD, DESC, Compensated, Expr, Intersect, Path, Pred, Step
-from .pattern import EMPTY, Pattern, UnknownView, ViewSet
+from .pattern import EMPTY, Pattern, UnknownView, ViewSet, _graft_pred, _graft_steps
 
 
 class UnsupportedXml(ValueError):
@@ -32,6 +32,7 @@ class XmlTree:
         self._next = 0
         self._tin: Optional[dict[int, int]] = None
         self._tout: Optional[dict[int, int]] = None
+        self._by_label: Optional[dict[str, list[int]]] = None
 
     def add_node(self, label: str, parent: Optional[int], text: str = "") -> int:
         nid = self._next
@@ -45,6 +46,7 @@ class XmlTree:
         else:
             self.children[parent].append(nid)
         self._tin = None
+        self._by_label = None
         return nid
 
     def size(self) -> int:
@@ -68,6 +70,16 @@ class XmlTree:
             for c in reversed(self.children[n]):
                 stack.append((c, False))
         self._tin, self._tout = tin, tout
+
+    def _label_index(self) -> dict[str, list[int]]:
+        # Lists rather than sets: view documents reach millions of nodes.
+        idx = self._by_label
+        if idx is None:
+            idx = {}
+            for n, lab in self.labels.items():
+                idx.setdefault(lab, []).append(n)
+            self._by_label = idx
+        return idx
 
     def is_strict_descendant(self, d: int, a: int) -> bool:
         if self._tin is None:
@@ -97,34 +109,40 @@ def parse_xml(text: str) -> XmlTree:
     except ET.ParseError as exc:
         raise UnsupportedXml(f"malformed XML: {exc}") from None
     t = XmlTree()
-
-    def walk(el: ET.Element, parent: Optional[int]) -> None:
+    parent_of: dict[ET.Element, Optional[int]] = {root: None}
+    for el in root.iter():  # preorder, without recursion
         if el.attrib:
             raise UnsupportedXml(f"attributes are not supported (element {el.tag!r})")
         if "}" in el.tag:
             raise UnsupportedXml("namespaces are not supported")
-        nid = t.add_node(el.tag, parent, (el.text or "").strip())
+        nid = t.add_node(el.tag, parent_of.pop(el), (el.text or "").strip())
         for child in el:
-            walk(child, nid)
-
-    walk(root, None)
+            parent_of[child] = nid
     return t
 
 
 def print_xml(t: XmlTree, node: Optional[int] = None, indent: int = 0) -> str:
-    n = t.root if node is None else node
-    pad = "  " * indent
-    label = t.labels[n]
-    inner = t.texts[n]
-    kids = t.children[n]
-    if not kids and not inner:
-        return f"{pad}<{label}/>"
-    if not kids:
-        return f"{pad}<{label}>{_escape(inner)}</{label}>"
-    lines = [f"{pad}<{label}>" + (_escape(inner) if inner else "")]
-    for c in kids:
-        lines.append(print_xml(t, c, indent + 1))
-    lines.append(f"{pad}</{label}>")
+    lines: list[str] = []
+    # (unprinted children, their depth, their parent's closing tag)
+    stack: list[tuple[Iterator[int], int, str]] = [
+        (iter((t.root if node is None else node,)), indent, "")
+    ]
+    while stack:
+        kids, depth, closing = stack[-1]
+        for n in kids:
+            pad = "  " * depth
+            label = t.labels[n]
+            inner = t.texts[n]
+            if t.children[n]:
+                lines.append(f"{pad}<{label}>" + _escape(inner))
+                stack.append((iter(t.children[n]), depth + 1, f"{pad}</{label}>"))
+                break
+            leaf = f"<{label}>{_escape(inner)}</{label}>" if inner else f"<{label}/>"
+            lines.append(pad + leaf)
+        else:
+            stack.pop()
+            if closing:
+                lines.append(closing)
     return "\n".join(lines)
 
 
@@ -146,20 +164,16 @@ def _strict_ancestors(t: XmlTree, nodes: Iterable[int]) -> set[int]:
     return seen
 
 
-def _label_index(t: XmlTree) -> dict[str, set[int]]:
-    idx: dict[str, set[int]] = {}
-    for n, lab in t.labels.items():
-        idx.setdefault(lab, set()).add(n)
-    return idx
-
-
-def _candidate_sets(p: Pattern, t: XmlTree) -> Optional[dict[int, set[int]]]:
-    """Bottom-up feasibility sets; exact for tree-shaped patterns."""
+def _candidate_sets(
+    p: Pattern, t: XmlTree, starts: Iterable[int]
+) -> Optional[dict[int, set[int]]]:
+    """Bottom-up feasibility sets; exact for tree-shaped patterns.  The
+    root's pool is ``starts``, whatever their labels."""
     order = p.topo_order()
     cand: dict[int, set[int]] = {}
-    idx = _label_index(t)
+    idx = t._label_index()
     for pn in reversed(order):
-        base = set(idx.get(p.label(pn), ()))
+        base = set(starts) if pn == p.root else set(idx.get(p.label(pn), ()))
         req = p.test(pn)
         if req is not None:
             base = {x for x in base if t.texts[x] == req}
@@ -183,13 +197,20 @@ def eval_tree_pattern(p: Pattern, t: XmlTree) -> set[int]:
         return set()
     if not p.is_tree():
         return eval_dag_pattern(p, t)
-    cand = _candidate_sets(p, t)
-    if cand is None or t.root not in cand[p.root]:
+    if t.labels[t.root] != p.label(p.root):
         return set()
-    # Top-down restriction to images reachable from the rooted embedding.
-    reach: dict[int, set[int]] = {p.root: {t.root}}
-    order = p.topo_order()
-    for pn in order:
+    return _embed(p, t, {t.root})
+
+
+def _embed(p: Pattern, t: XmlTree, starts: Iterable[int]) -> set[int]:
+    """Output-node images over the embeddings of tree pattern ``p`` whose
+    root maps into ``starts``; the root's label is not checked."""
+    cand = _candidate_sets(p, t, starts)
+    if cand is None:
+        return set()
+    # Top-down restriction to images reachable from an embedded root.
+    reach: dict[int, set[int]] = {p.root: cand[p.root]}
+    for pn in p.topo_order():
         if pn not in reach:
             continue
         here = reach[pn]
@@ -217,10 +238,10 @@ def eval_dag_pattern(d, t: XmlTree) -> set[int]:
     image and search for a consistent assignment, using the tree-exact
     candidate sets for pruning.
     """
-    if d is EMPTY:
+    if d is EMPTY or t.labels[t.root] != d.label(d.root):
         return set()
-    cand = _candidate_sets(d, t)
-    if cand is None or t.root not in cand[d.root]:
+    cand = _candidate_sets(d, t, {t.root})
+    if cand is None:
         return set()
     mbn = d.mb_nodes()
     order = [n for n in d.topo_order()]
@@ -247,8 +268,6 @@ def eval_dag_pattern(d, t: XmlTree) -> set[int]:
                 pool = pool & path
             if pn == d.out:
                 pool = pool & {out_img}
-            if pn == d.root:
-                pool = pool & {t.root}
             for x in sorted(pool):
                 if ok(pn, x):
                     assign[pn] = x
@@ -284,22 +303,32 @@ class ViewDocument:
     answer_roots: list[int] = field(default_factory=list)
 
 
+def _copy_subtree(
+    src: XmlTree, n: int, dst: XmlTree, parent: Optional[int], sources: dict[int, int]
+) -> int:
+    """Copy the subtree of ``n`` below ``parent`` in preorder, recording
+    each copy's source node in ``sources``; returns the copy of ``n``."""
+    top = dst.add_node(src.labels[n], parent, src.texts[n])
+    sources[top] = n
+    # (unvisited children, their parent copy), one entry per open node
+    stack = [(iter(src.children[n]), top)]
+    while stack:
+        kids, at = stack[-1]
+        for x in kids:
+            nid = dst.add_node(src.labels[x], at, src.texts[x])
+            sources[nid] = x
+            stack.append((iter(src.children[x]), nid))
+            break
+        else:
+            stack.pop()
+    return top
+
+
 def materialize_view(v: Pattern, name: str, t: XmlTree) -> ViewDocument:
-    answers = sorted(eval_tree_pattern(v, t))
     vt = XmlTree()
     root = vt.add_node(name, None)
     originals: dict[int, int] = {}
-    roots = []
-
-    def copy(n: int, parent: int) -> int:
-        nid = vt.add_node(t.labels[n], parent, t.texts[n])
-        originals[nid] = n
-        for c in t.children[n]:
-            copy(c, nid)
-        return nid
-
-    for a in answers:
-        roots.append(copy(a, root))
+    roots = [_copy_subtree(t, a, vt, root, originals) for a in sorted(eval_tree_pattern(v, t))]
     return ViewDocument(name, vt, originals, roots)
 
 
@@ -314,17 +343,14 @@ def view_document_to_xml(vd: ViewDocument) -> str:
     """Serialize a view document; each answer root carries a reserved
     ``__origid`` marker element holding its original node id."""
     marked = XmlTree()
+    sources: dict[int, int] = {}
+    _copy_subtree(vd.tree, vd.tree.root, marked, None, sources)
     answer_roots = set(vd.answer_roots)
-
-    def copy(n: int, parent: Optional[int]) -> int:
-        nid = marked.add_node(vd.tree.labels[n], parent, vd.tree.texts[n])
+    for nid, n in sources.items():
         if n in answer_roots:
             marked.add_node(ORIGID_LABEL, nid, str(vd.originals[n]))
-        for c in vd.tree.children[n]:
-            copy(c, nid)
-        return nid
-
-    copy(vd.tree.root, None)
+            kids = marked.children[nid]
+            kids.insert(0, kids.pop())  # the marker prints first
     return print_xml(marked)
 
 
@@ -336,66 +362,40 @@ def view_document_from_xml(text: str, base: XmlTree) -> ViewDocument:
     vt = XmlTree()
     originals: dict[int, int] = {}
     answer_roots: list[int] = []
-
-    def walk(n: int, parent: Optional[int], orig: Optional[int]) -> None:
+    root = vt.add_node(marked.labels[marked.root], None)
+    # (marked node, parent copy, original); the original of an answer root
+    # is read from its marker
+    stack: list[tuple[int, int, Optional[int]]] = [
+        (c, root, None) for c in reversed(marked.children[marked.root])
+    ]
+    while stack:
+        n, parent, orig = stack.pop()
         nid = vt.add_node(marked.labels[n], parent, marked.texts[n])
-        kids = list(marked.children[n])
-        if parent == vt.root:
+        kids = marked.children[n]
+        if orig is None:
             markers = [c for c in kids if marked.labels[c] == ORIGID_LABEL]
             if len(markers) != 1:
                 raise UnsupportedXml("answer root lacks its __origid marker")
             orig = int(marked.texts[markers[0]])
             kids = [c for c in kids if c not in markers]
             answer_roots.append(nid)
-        if orig is not None:
-            originals[nid] = orig
-            base_kids = base.children[orig]
-            if len(base_kids) != len(kids):
-                raise UnsupportedXml("view copy does not match the base document")
-            for c, bc in zip(kids, base_kids):
-                walk(c, nid, bc)
-        else:
-            for c in kids:
-                walk(c, nid, None)
-
-    root = vt.add_node(marked.labels[marked.root], None)
-    for c in marked.children[marked.root]:
-        walk(c, root, None)
+        originals[nid] = orig
+        base_kids = base.children[orig]
+        if len(base_kids) != len(kids):
+            raise UnsupportedXml("view copy does not match the base document")
+        stack.extend((c, nid, bc) for c, bc in zip(reversed(kids), reversed(base_kids)))
     return ViewDocument(marked.labels[marked.root], vt, originals, answer_roots)
 
 
-def _pred_holds(doc: XmlTree, x: int, pred: Pred) -> bool:
-    cur = {x}
-    for i, step in enumerate(pred.steps):
-        nxt = set()
-        for y in cur:
-            pool = doc.children[y] if step.axis == CHILD else doc.descendants(y)
-            for c in pool:
-                if doc.labels[c] != step.label:
-                    continue
-                if all(_pred_holds(doc, c, sp) for sp in step.preds):
-                    nxt.add(c)
-        cur = nxt
-        if not cur:
-            return False
-    if pred.const is not None:
-        return any(doc.texts[y] == pred.const for y in cur)
-    return True
-
-
-def _navigate(doc: XmlTree, starts: Iterable[int], steps: tuple[Step, ...]) -> set[int]:
-    cur = set(starts)
-    for step in steps:
-        nxt = set()
-        for y in cur:
-            pool = doc.children[y] if step.axis == CHILD else doc.descendants(y)
-            for c in pool:
-                if doc.labels[c] == step.label and all(
-                    _pred_holds(doc, c, sp) for sp in step.preds
-                ):
-                    nxt.add(c)
-        cur = nxt
-    return cur
+def _steps_pattern(head_preds: tuple[Pred, ...], steps: tuple[Step, ...]) -> Pattern:
+    """Tree pattern of a navigation: a root carrying ``head_preds``, then
+    ``steps``.  The root stands for the start nodes; its label is unused."""
+    p = Pattern()
+    p.root = p.add_node("")
+    for pred in head_preds:
+        _graft_pred(p, p.root, pred)
+    p.out = _graft_steps(p, p.root, steps)
+    return p
 
 
 def eval_plan(plan: Expr, docs: dict[str, ViewDocument]) -> set[int]:
@@ -405,8 +405,7 @@ def eval_plan(plan: Expr, docs: dict[str, ViewDocument]) -> set[int]:
     whichever view document holds a copy of the current node.  The result
     is a set of original ids in the base document.
     """
-    reps = _eval_plan_reps(plan, docs)
-    return set(reps)
+    return set(_eval_plan_reps(plan, docs))
 
 
 def _eval_plan_reps(plan: Expr, docs: dict[str, ViewDocument]) -> dict[int, tuple[str, int]]:
@@ -417,12 +416,7 @@ def _eval_plan_reps(plan: Expr, docs: dict[str, ViewDocument]) -> dict[int, tupl
         head = plan.steps[0]
         if head.label != vd.name:
             raise UnknownView(f"plan head {head.label!r} does not match view {vd.name!r}")
-        starts = [
-            a
-            for a in vd.answer_roots
-            if all(_pred_holds(vd.tree, a, sp) for sp in head.preds)
-        ]
-        hits = _navigate(vd.tree, starts, plan.steps[1:])
+        hits = _embed(_steps_pattern(head.preds, plan.steps[1:]), vd.tree, vd.answer_roots)
         return {vd.originals[h]: (vd.name, h) for h in hits}
     if isinstance(plan, Intersect):
         parts = [_eval_plan_reps(b, docs) for b in plan.branches]
@@ -431,11 +425,16 @@ def _eval_plan_reps(plan: Expr, docs: dict[str, ViewDocument]) -> dict[int, tupl
             common &= set(part)
         return {orig: parts[0][orig] for orig in common}
     if isinstance(plan, Compensated):
-        base = _eval_plan_reps(plan.base, docs)
+        # Copies of one original hold equal subtrees, so any copy will do:
+        # one navigation per view document, from all its copies at once.
+        by_view: dict[str, list[int]] = {}
+        for name, copy_id in _eval_plan_reps(plan.base, docs).values():
+            by_view.setdefault(name, []).append(copy_id)
+        steps = _steps_pattern((), plan.steps)
         out: dict[int, tuple[str, int]] = {}
-        for orig, (name, copy_id) in base.items():
+        for name, copies in by_view.items():
             vd = docs[name]
-            for h in _navigate(vd.tree, [copy_id], plan.steps):
+            for h in _embed(steps, vd.tree, copies):
                 out[vd.originals[h]] = (name, h)
         return out
     raise TypeError(type(plan))

@@ -240,7 +240,11 @@ class Pattern:
         return order
 
     def validate(self) -> None:
-        assert self.root in self.nodes and self.out in self.nodes
+        if self.root not in self.nodes or self.out not in self.nodes:
+            raise ValueError("root and output must be nodes of the pattern")
+        for a, b, _ in self.edges:
+            if a not in self.nodes or b not in self.nodes:
+                raise ValueError(f"edge {a}->{b} names a missing node")
         self.topo_order()
         mbn = self.mb_nodes()
         for n in self.nodes:
@@ -270,7 +274,7 @@ class Pattern:
 # construction from ASTs
 
 
-def _graft_steps(p: Pattern, at: int, steps: tuple[Step, ...], on_main: bool) -> int:
+def _graft_steps(p: Pattern, at: int, steps: tuple[Step, ...]) -> int:
     """Append a step chain below ``at``; returns the last node added."""
     cur = at
     for step in steps:
@@ -300,7 +304,7 @@ def tree_from_ast(expr: Expr) -> Pattern:
         raise ValueError("tree_from_ast expects an absolute XP path")
     p = Pattern()
     p.root = p.add_node(expr.doc)
-    p.out = _graft_steps(p, p.root, expr.steps, True)
+    p.out = _graft_steps(p, p.root, expr.steps)
     p.validate()
     return p
 
@@ -427,7 +431,7 @@ def dag_append(x, steps: tuple[Step, ...]):
     if x is EMPTY:
         return EMPTY
     p = x.clone()
-    p.out = _graft_steps(p, p.out, steps, True)
+    p.out = _graft_steps(p, p.out, steps)
     return p
 
 
@@ -452,7 +456,7 @@ def dag_from_expr(expr: Expr, views: Optional[ViewSet] = None):
             p.out = ren[vdef.out]
             for pred in head.preds:
                 _graft_pred(p, p.out, pred)
-            p.out = _graft_steps(p, p.out, expr.steps[1:], True)
+            p.out = _graft_steps(p, p.out, expr.steps[1:])
             return p
         return tree_from_ast(expr)
     if isinstance(expr, Intersect):
@@ -581,7 +585,9 @@ def lossless_prefixes(q: Pattern) -> list[Pattern]:
 
 
 def to_ast(p: Pattern) -> Path:
-    """AST of a tree pattern (absolute path; root label is the doc name)."""
+    """AST of a tree pattern (absolute path; root label is the doc name).
+    Predicates on the root have no place in it: ``relative_ast`` reads
+    them separately."""
     mb = main_branch(p)
     steps = []
     for prev, cur in zip(mb, mb[1:]):
@@ -613,6 +619,8 @@ def _pred_of(p: Pattern, sub_root: int, axis: str) -> Pred:
 def to_text(p) -> str:
     if p is EMPTY:
         return "EMPTY"
+    if p.pred_edges(p.root):
+        raise ValueError("XP has no syntax for a predicate on the pattern root")
     return print_expr(to_ast(p))
 
 
@@ -635,7 +643,7 @@ def compensate_pattern(r: Pattern, p: Pattern, n: int) -> Pattern:
     res = r.clone()
     for pred in preds:
         _graft_pred(res, res.out, pred)
-    res.out = _graft_steps(res, res.out, steps, True)
+    res.out = _graft_steps(res, res.out, steps)
     return res
 
 

@@ -37,7 +37,7 @@ from .containment import (
     root_mapping_out_images,
     tree_contains,
 )
-from .fragments import FragmentClass, classify, extended_skeleton, root_token_code
+from .fragments import FragmentClass, classify, extended_skeleton
 from .rules import TraceStep, apply_rules
 
 log = logging.getLogger(__name__)
@@ -111,15 +111,6 @@ def best_comp(v: Pattern, p: Pattern) -> Pattern:
     return compensate_pattern(v, p, top)
 
 
-def _best_pairs(pairs: list[tuple[str, int]], p: Pattern) -> list[tuple[str, int]]:
-    depth = {n: i for i, n in enumerate(main_branch(p))}
-    best: dict[str, int] = {}
-    for name, b in pairs:
-        if name not in best or depth[b] < depth[best[name]]:
-            best[name] = b
-    return sorted(best.items())
-
-
 def prune_plan_fast(q: Pattern, prefix: Pattern, pairs: list[tuple[str, int]], views: ViewSet) -> bool:
     """Cheap necessary conditions; False proves there is no rewriting for
     this prefix."""
@@ -166,12 +157,7 @@ def filter_prefixes_by_keys(
     ]
 
 
-def _candidate_for_prefix(
-    p: Pattern,
-    pairs: list[tuple[str, int]],
-    views: ViewSet,
-    dag_views: ViewSet,
-):
+def _candidate_for_prefix(p: Pattern, pairs: list[tuple[str, int]], dag_views: ViewSet):
     expr = _plan_expr(pairs, p)
     return expr, unfold_expr(expr, dag_views)
 
@@ -181,9 +167,6 @@ def rewrite_detailed(
     views: ViewSet,
     mode: str = FULL,
     key_targets: Optional[list[Pattern]] = None,
-    use_best_comp: bool = False,
-    use_prune: bool = False,
-    akin_first: bool = False,
 ) -> RewriteOutcome:
     """The prefix-driven rewriting search.
 
@@ -205,38 +188,28 @@ def rewrite_detailed(
         pairs = _view_pairs(views, p)
         if not pairs:
             continue
-        if use_best_comp:
-            pairs = _best_pairs(pairs, p)
-        if use_prune and not prune_plan_fast(q, p, pairs, views):
-            continue
         examined += 1
-        groups: list[list[tuple[str, int]]] = [pairs]
-        if akin_first:
-            akin_group = _largest_akin_group(pairs, views)
-            if akin_group and len(akin_group) < len(pairs):
-                groups.insert(0, akin_group)
-        for group in groups:
-            expr, d = _candidate_for_prefix(p, group, views, dag_views)
-            d2, trace = apply_rules(d)
-            if mode == EFFICIENT:
-                ok = d2 is not EMPTY and d2.is_tree() and tree_contains(p, d2)
+        expr, d = _candidate_for_prefix(p, pairs, dag_views)
+        d2, trace = apply_rules(d)
+        if mode == EFFICIENT:
+            ok = d2 is not EMPTY and d2.is_tree() and tree_contains(p, d2)
+        else:
+            if d2 is EMPTY:
+                ok = False
+            elif d2.is_tree():
+                ok = tree_contains(p, d2)
             else:
-                if d2 is EMPTY:
-                    ok = False
-                elif d2.is_tree():
-                    ok = tree_contains(p, d2)
-                else:
-                    ok = dag_contained_in_tree(d2, p)
-            if ok:
-                plan_expr = compensate_expr(expr, q, mb_node_at(q, idx))
-                return RewriteOutcome(
-                    RewritePlan(plan_expr, views),
-                    "rewritten",
-                    prefix_index=idx,
-                    trace=trace,
-                    candidates_examined=examined,
-                    timings={"rewriteMs": (time.perf_counter() - t0) * 1e3},
-                )
+                ok = dag_contained_in_tree(d2, p)
+        if ok:
+            plan_expr = compensate_expr(expr, q, mb_node_at(q, idx))
+            return RewriteOutcome(
+                RewritePlan(plan_expr, views),
+                "rewritten",
+                prefix_index=idx,
+                trace=trace,
+                candidates_examined=examined,
+                timings={"rewriteMs": (time.perf_counter() - t0) * 1e3},
+            )
     return RewriteOutcome(
         None,
         "noRewriting",
@@ -247,15 +220,6 @@ def rewrite_detailed(
 
 def mb_node_at(q: Pattern, idx: int) -> int:
     return main_branch(q)[idx]
-
-
-def _largest_akin_group(pairs, views) -> list[tuple[str, int]]:
-    by_code: dict[tuple, list[tuple[str, int]]] = {}
-    for name, b in pairs:
-        code = root_token_code(views[name])
-        by_code.setdefault(code, []).append((name, b))
-    best = max(by_code.values(), key=len, default=[])
-    return best
 
 
 def rewrite(
@@ -283,7 +247,7 @@ def all_rewrites(
             continue
         for size in range(1, min(len(pairs), max_views) + 1):
             for subset in combinations(pairs, size):
-                expr, d = _candidate_for_prefix(p, list(subset), views, views)
+                expr, d = _candidate_for_prefix(p, list(subset), views)
                 d2, _ = apply_rules(d)
                 if d2 is EMPTY:
                     continue

@@ -117,6 +117,11 @@ def test_rewrite_eval_generate_roundtrip(tmp_path, capsys):
         'doc("L")//paper//section[theorem]//figure/image',
     )
     assert code == 0 and json.loads(out)["count"] == 1
+    # an intersection of paths over two documents is the empty pattern
+    code, out, _ = run(
+        capsys, "eval", "--doc", str(doc_path), "--query", 'doc("L")//image & doc("M")//image',
+    )
+    assert code == 0 and json.loads(out) == {"count": 0, "nodes": []}
 
     # eval the plan over materialized views matches
     code, out, _ = run(

@@ -151,6 +151,69 @@ def test_plan_eval_agrees_with_unfold_on_random_instances():
         want = eval_dag_pattern(d, t) if d is not EMPTY else set()
         assert eval_plan(plan, docs) == want
 
+    # Head predicates (text constants, // predicates), compensations after
+    # an intersection, and a view with nested answers, whose document holds
+    # several copies of one original node; the oracle is exhaustive search
+    # over the unfolded plan.
+    rng = random.Random(23)
+    answered = [0, 0, 0, 0]
+    nested_copies = 0
+    for trial in range(30):
+        t = generate_tree(
+            TreeGenConfig(depth=6, fanout=3, labels=("a", "b", "c"), seed=100 + trial)
+        )
+        out_label = rng.choice("abc")
+        views = ViewSet(
+            {
+                "w1": random_tree_pattern(
+                    rng, mb_len=2, out_label=out_label, dd_prob=0.8, pred_prob=0.3
+                ),
+                "w2": random_tree_pattern(rng, mb_len=1, out_label=out_label, dd_prob=0.8),
+                "w3": tree_from_text(f'doc("L")//{out_label}'),
+            }
+        )
+        docs = materialize_all(views, t)
+        copied = list(docs["w3"].originals.values())
+        nested_copies += len(copied) > len(set(copied))
+
+        def head(name):
+            pred = _random_pred_text(rng) if rng.random() < 0.6 else ""
+            return f'doc("{name}")/{name}{pred}'
+
+        plans = [
+            f'{head("w1")} & {head("w2")}',
+            head("w3") + _random_steps_text(rng, 2),
+            f'({head("w1")} & {head("w3")})' + _random_steps_text(rng, 1),
+            f'({head("w2")} & {head("w3")} & {head("w1")})' + _random_steps_text(rng, 2),
+        ]
+        for i, text in enumerate(plans):
+            plan = parse(text)
+            got = eval_plan(plan, docs)
+            assert got == brute_eval(unfold_expr(plan, views), t), text
+            answered[i] += bool(got)
+    # each plan shape has non-empty answers on several instances
+    assert min(answered) >= 3 and nested_copies >= 20
+
+
+def _random_pred_text(rng, depth=2):
+    body = ("" if rng.random() < 0.6 else ".//") + rng.choice("abc")
+    if depth > 1 and rng.random() < 0.3:
+        body += _random_pred_text(rng, depth - 1)
+    if rng.random() < 0.3:
+        body += rng.choice(("/", "//")) + rng.choice("abc")
+    if rng.random() < 0.3:
+        body += f'="{rng.choice("xy")}"'
+    return f"[{body}]"
+
+
+def _random_steps_text(rng, n):
+    return "".join(
+        rng.choice(("/", "//"))
+        + rng.choice("abc")
+        + (_random_pred_text(rng) if rng.random() < 0.3 else "")
+        for _ in range(n)
+    )
+
 
 def test_canonical_model_shapes():
     p = tree_from_text('doc("D")/a//b')
@@ -211,6 +274,45 @@ def test_view_document_xml_round_trip(lib_tree):
     docs = {"v2": back}
     got = eval_plan(parse('doc("v2")/v2'), docs)
     assert got == eval_tree_pattern(views["v2"], lib_tree)
+
+
+def test_deep_chain_round_trip():
+    # 10^4 levels: an <a> chain with a <b> at depth 8,000, so the view
+    # //b holds a 2,000-deep copy.  The indented text form of a chain is
+    # quadratic in its depth (a 10^4-deep view prints 200 MB), so the view,
+    # not the whole chain, is serialized.
+    from xpviews.documents import view_document_from_xml, view_document_to_xml
+
+    depth, below = 10_000, 2_000
+    text = (
+        "<L>" + "<a>" * (depth - below) + "<b>" + "<a>" * (below - 1) + "<c/>"
+        + "</a>" * (below - 1) + "</b>" + "</a>" * (depth - below) + "</L>"
+    )
+    t = parse_xml(text)
+    assert t.size() == depth + 2
+    views = ViewSet.from_texts({"v": 'doc("L")//b'})
+    vd = materialize_view(views["v"], "v", t)
+    assert vd.tree.size() == below + 2
+    xml = view_document_to_xml(vd)
+    assert xml.count("<a>") == below - 1
+    back = view_document_from_xml(xml, t)
+    assert back.originals == vd.originals and back.answer_roots == vd.answer_roots
+    assert print_xml(back.tree) == print_xml(vd.tree)
+    want = eval_tree_pattern(tree_from_text('doc("L")//b//a[c]'), t)
+    assert len(want) == 1
+    assert eval_plan(parse('doc("v")/v//a[c]'), {"v": back}) == want
+    assert eval_plan(parse('(doc("v")/v)//a[c]'), {"v": back}) == want
+
+
+def test_eval_sees_nodes_added_after_an_evaluation():
+    t = parse_xml("<L><a/></L>")
+    below_a = tree_from_text('doc("L")/a//a')
+    any_a = tree_from_text('doc("L")//a')
+    (a,) = eval_tree_pattern(any_a, t)
+    assert eval_tree_pattern(below_a, t) == set()
+    a2 = t.add_node("a", t.add_node("b", a))
+    assert eval_tree_pattern(below_a, t) == {a2}
+    assert eval_tree_pattern(any_a, t) == {a, a2}
 
 
 def test_generate_tree_deterministic():

@@ -18,8 +18,8 @@ from xpviews import (
     tree_from_text,
     unfold_expr,
 )
-from xpviews.pattern import canon_key, compensate_expr, compensate_pattern
-from xpviews.syntax import CHILD, DESC, parse, print_expr
+from xpviews.pattern import canon_key, compensate_expr, compensate_pattern, relative_ast
+from xpviews.syntax import CHILD, DESC, Path, Step, parse, print_expr
 
 from conftest import two_branch_merges
 
@@ -200,6 +200,31 @@ def test_json_round_trip():
         doc["edges"][1]["kind"] = kind
         with pytest.raises(ValueError, match="edge kind"):
             pattern_from_json(json.dumps(doc))
+    # ids that name no node are typed errors, not KeyError or assert
+    doc = json.loads(text)
+    doc["edges"][0]["to"] = 7
+    with pytest.raises(ValueError, match="missing node"):
+        pattern_from_json(json.dumps(doc))
+    for key in ("root", "output"):
+        doc = json.loads(text)
+        doc[key] = 7
+        with pytest.raises(ValueError, match="must be nodes"):
+            pattern_from_json(json.dumps(doc))
+
+
+def test_to_text_rejects_a_root_predicate():
+    # XP cannot write a predicate on doc("L"); dropping it would print a
+    # query that is not equivalent
+    p = tree_from_text('doc("L")/a/b')
+    z = p.add_node("z")
+    p.add_edge(p.root, z, CHILD)
+    with pytest.raises(ValueError, match="root"):
+        to_text(p)
+    # the compensation payload of a node with predicates still renders them
+    q = tree_from_text('doc("L")//a[c="x"]/b')
+    a = main_branch(q)[1]
+    preds, steps = relative_ast(q, a)
+    assert print_expr(Path("L", (Step("a", CHILD, preds),) + steps)) == 'doc("L")/a[c="x"]/b'
 
 
 def test_print_pattern_round_trip():
