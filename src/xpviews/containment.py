@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import CHILD
-from .pattern import EMPTY, Pattern, canon_key
+from .pattern import EMPTY, Pattern, canon_key, main_branch
 
 MAPPING = "mapping"
 ROOT_MAPPING = "root-mapping"
@@ -27,13 +27,41 @@ class PatternMapping:
     kind: str
 
 
-def _pairs_compatible(src: Pattern, dst: Pattern, a: int, x: int) -> bool:
-    if src.label(a) != dst.label(x):
-        return False
-    req = src.test(a)
-    if req is not None and dst.test(x) != req:
-        return False
-    return True
+def _edge_ok(dst: Pattern, x: int, k: str, targets) -> bool:
+    """Whether an edge of kind ``k`` from ``x`` can end in ``targets``."""
+    if k == CHILD:
+        return any(y in targets for y, kk in dst.out_edges(x) if kk == CHILD)
+    return not dst.descendants(x).isdisjoint(targets)
+
+
+def _candidates(
+    src: Pattern,
+    dst: Pattern,
+    pin: dict[int, int],
+    allowed: Optional[dict[int, frozenset[int]]] = None,
+) -> Optional[dict[int, list[int]]]:
+    """Bottom-up feasibility sets, each in ``dst`` id order: exact on
+    tree-shaped sources, a sound pruner on DAG sources.  None when some
+    node has no image."""
+    src_mbn = src.mb_nodes()
+    dst_mbn = dst.mb_nodes()
+    cand: dict[int, list[int]] = {}
+    for a in reversed(src.topo_order()):
+        req = src.test(a)
+        on_mb = a in src_mbn
+        pool = [
+            x
+            for x in dst.label_index().get(src.label(a), ())
+            if (req is None or dst.test(x) == req)
+            and (not on_mb or x in dst_mbn)
+            and (allowed is None or a not in allowed or x in allowed[a])
+            and (a not in pin or x == pin[a])
+            and all(_edge_ok(dst, x, k, cand[b]) for b, k in src.out_edges(a))
+        ]
+        if not pool:
+            return None
+        cand[a] = pool
+    return cand
 
 
 def find_mapping(
@@ -41,59 +69,27 @@ def find_mapping(
     dst: Pattern,
     kind: str = MAPPING,
     allowed: Optional[dict[int, frozenset[int]]] = None,
-    fixed: Optional[dict[int, int]] = None,
 ) -> Optional[PatternMapping]:
     """Search for a mapping of ``src`` into ``dst``.
 
     Conditions: labels and tests preserved, /-edges to /-edges, //-edges to
     directed paths, main-branch nodes to main-branch nodes.  Root mappings
     pin the root, containment mappings also pin the output.  ``allowed``
-    restricts node images; ``fixed`` forces them.
+    restricts node images.
     """
     if src is EMPTY or dst is EMPTY:
         return None
-    src_mbn = src.mb_nodes()
-    dst_mbn = dst.mb_nodes()
-    dst_nodes = sorted(dst.nodes)
-
-    pin: dict[int, int] = dict(fixed or {})
+    pin: dict[int, int] = {}
     if kind in (ROOT_MAPPING, CONTAINMENT):
         pin[src.root] = dst.root
     if kind == CONTAINMENT:
         if src.out in pin and pin[src.out] != dst.out:
             return None
         pin[src.out] = dst.out
-
-    # Bottom-up feasibility sets (exact on tree-shaped sources, a sound
-    # pruner on DAG sources).
+    cand = _candidates(src, dst, pin, allowed)
+    if cand is None:
+        return None
     order = src.topo_order()
-    cand: dict[int, list[int]] = {}
-    for a in reversed(order):
-        pool = []
-        for x in dst_nodes:
-            if not _pairs_compatible(src, dst, a, x):
-                continue
-            if a in src_mbn and x not in dst_mbn:
-                continue
-            if allowed is not None and a in allowed and x not in allowed[a]:
-                continue
-            if a in pin and x != pin[a]:
-                continue
-            ok = True
-            for b, k in src.out_edges(a):
-                if k == CHILD:
-                    succ = {y for y, kk in dst.out_edges(x) if kk == CHILD}
-                else:
-                    succ = dst.descendants(x)
-                if not succ.intersection(cand[b]):
-                    ok = False
-                    break
-            if ok:
-                pool.append(x)
-        if not pool:
-            return None
-        cand[a] = pool
-
     assign: dict[int, int] = {}
 
     def consistent(a: int, x: int) -> bool:
@@ -125,12 +121,28 @@ def find_mapping(
 
 
 def root_mapping_out_images(src: Pattern, dst: Pattern) -> list[int]:
-    """All possible images of OUT(src) under root-mappings into ``dst``."""
-    images = []
-    for x in sorted(dst.mb_nodes()):
-        if find_mapping(src, dst, ROOT_MAPPING, fixed={src.out: x}) is not None:
-            images.append(x)
-    return images
+    """All images of OUT(src) under root-mappings into ``dst``, ascending.
+
+    The bottom-up feasibility sets, then one top-down pass along the
+    source's main branch that keeps the images reachable from the pinned
+    root.  Both are exact because the source is a tree: its subtrees share
+    no nodes, so their images are independent.
+    """
+    if src is EMPTY or dst is EMPTY:
+        return []
+    if not src.is_tree():
+        raise ValueError("root_mapping_out_images needs a tree-shaped source")
+    cand = _candidates(src, dst, {src.root: dst.root})
+    if cand is None:
+        return []
+    here = set(cand[src.root])
+    mb = main_branch(src)
+    for a, b in zip(mb, mb[1:]):
+        if src.axis(a, b) == CHILD:
+            here = {y for y in cand[b] if any((x, y, CHILD) in dst.edges for x in here)}
+        else:
+            here = {y for y in cand[b] if any(dst.reaches(x, y) for x in here)}
+    return sorted(here)
 
 
 def tree_contains(p1: Pattern, p2: Pattern) -> bool:

@@ -191,6 +191,25 @@ def _candidate_sets(
     return cand
 
 
+def _below(t: XmlTree, here: set[int], nodes: Iterable[int]) -> set[int]:
+    """The nodes with a strict ancestor in ``here``.  Each ancestor's answer
+    is memoised, so every document node is climbed at most once."""
+    met: dict[int, bool] = {}  # node -> whether it or an ancestor is in `here`
+    res = set()
+    for d in nodes:
+        path = []
+        x = t.parent[d]
+        while x is not None and x not in met and x not in here:
+            path.append(x)
+            x = t.parent[x]
+        hit = x is not None and (x in here or met[x])
+        for y in path:
+            met[y] = hit
+        if hit:
+            res.add(d)
+    return res
+
+
 def eval_tree_pattern(p: Pattern, t: XmlTree) -> set[int]:
     """Output-node images over all embeddings of a tree pattern."""
     if p is EMPTY:
@@ -218,15 +237,7 @@ def _embed(p: Pattern, t: XmlTree, starts: Iterable[int]) -> set[int]:
             if k == CHILD:
                 nxt = {c for x in here for c in t.children[x] if c in cand[b]}
             else:
-                # candidates whose strict-ancestor chain meets `here`
-                nxt = set()
-                for d in cand[b]:
-                    x = t.parent[d]
-                    while x is not None:
-                        if x in here:
-                            nxt.add(d)
-                            break
-                        x = t.parent[x]
+                nxt = _below(t, here, cand[b])
             reach.setdefault(b, set()).update(nxt)
     return reach.get(p.out, set())
 

@@ -165,20 +165,21 @@ def _build(d: Pattern, placement: dict[int, int]) -> Interleaving:
 
 
 def interleavings(d, cap: int = DEFAULT_CAP) -> Iterator[Interleaving]:
-    """All interleavings of ``d``, deduplicated up to pattern isomorphism."""
+    """All interleavings of ``d``, deduplicated up to pattern isomorphism.
+
+    ``cap`` bounds the placements built, duplicates included, since those
+    are the work done."""
     if d is EMPTY:
         return
     seen = set()
-    count = 0
-    for placement in _placements(d):
+    for count, placement in enumerate(_placements(d), 1):
+        if count > cap:
+            raise CapExceeded(f"more than {cap} interleaving placements")
         il = _build(d, placement)
         key = canon_key(il.pattern)
         if key in seen:
             continue
         seen.add(key)
-        count += 1
-        if count > cap:
-            raise CapExceeded(f"more than {cap} interleavings")
         yield il
 
 

@@ -13,6 +13,7 @@ working copies.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -84,6 +85,8 @@ class Pattern:
         self._mbn: Optional[frozenset[int]] = None
         self._desc: Optional[dict[int, frozenset[int]]] = None
         self._adj = None
+        self._topo: Optional[tuple[int, ...]] = None
+        self._labels: Optional[dict[str, tuple[int, ...]]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -116,6 +119,8 @@ class Pattern:
         self._mbn = None
         self._desc = None
         self._adj = None
+        self._topo = None
+        self._labels = None
 
     def _adjacency(self):
         if getattr(self, "_adj", None) is None:
@@ -154,6 +159,15 @@ class Pattern:
 
     def label(self, n: int) -> str:
         return self.nodes[n].label
+
+    def label_index(self) -> dict[str, tuple[int, ...]]:
+        """Node ids by label, each tuple in id order."""
+        if self._labels is None:
+            idx: dict[str, list[int]] = {}
+            for n in sorted(self.nodes):
+                idx.setdefault(self.nodes[n].label, []).append(n)
+            self._labels = {lab: tuple(ns) for lab, ns in idx.items()}
+        return self._labels
 
     def test(self, n: int) -> Optional[str]:
         return self.nodes[n].test
@@ -218,9 +232,10 @@ class Pattern:
             ins[b] += 1
         return all(c == 1 for n, c in ins.items() if n != self.root) and ins[self.root] == 0
 
-    def topo_order(self) -> list[int]:
-        import heapq
-
+    def topo_order(self) -> tuple[int, ...]:
+        """Nodes in topological order, smallest ready id first."""
+        if self._topo is not None:
+            return self._topo
         kids = self._adjacency()[0]
         indeg = {n: 0 for n in self.nodes}
         for _, b, _ in self.edges:
@@ -237,7 +252,8 @@ class Pattern:
                     heapq.heappush(ready, b)
         if len(order) != len(self.nodes):
             raise ValueError("pattern graph has a cycle")
-        return order
+        self._topo = tuple(order)
+        return self._topo
 
     def validate(self) -> None:
         if self.root not in self.nodes or self.out not in self.nodes:
@@ -318,6 +334,9 @@ class ViewSet:
 
     def __init__(self, defs: Optional[dict[str, Pattern]] = None):
         self.defs: dict[str, Pattern] = {}
+        # the extended skeletons of the definitions, built on demand by the
+        # rewriter and dropped by the next define
+        self._skeletons: Optional[ViewSet] = None
         if defs:
             for name, pat in defs.items():
                 self.define(name, pat)
@@ -331,6 +350,7 @@ class ViewSet:
             raise ValueError(f"duplicate view name {name!r}")
         pattern.validate()
         self.defs[name] = pattern
+        self._skeletons = None
 
     def __contains__(self, name: str) -> bool:
         return name in self.defs

@@ -72,13 +72,24 @@ class RewriteOutcome:
     timings: dict = field(default_factory=dict)
 
 
+def _view_images(views: ViewSet, q: Pattern) -> list[tuple[str, list[int]]]:
+    """Each view with the images of its output under root-mappings into
+    ``q``."""
+    return [(name, root_mapping_out_images(v, q)) for name, v in views.items()]
+
+
+def _pairs_on(images: list[tuple[str, list[int]]], p: Pattern) -> list[tuple[str, int]]:
+    """(view, image) pairs of ``p`` out of the images into a pattern that
+    ``p`` is a lossless prefix of.  The prefix only raises the output, so
+    its root-mappings are those whose output image lies on its main
+    branch."""
+    mbn = p.mb_nodes()
+    return [(name, b) for name, bs in images for b in bs if b in mbn]
+
+
 def _view_pairs(views: ViewSet, p: Pattern) -> list[tuple[str, int]]:
     """(view, image) pairs: root-mappings of each view into the prefix."""
-    pairs = []
-    for name, v in views.items():
-        for b in root_mapping_out_images(v, p):
-            pairs.append((name, b))
-    return pairs
+    return _pairs_on(_view_images(views, p), p)
 
 
 def _compensated_head(name: str, p: Pattern, b: int) -> Expr:
@@ -94,10 +105,14 @@ def _plan_expr(pairs: list[tuple[str, int]], p: Pattern) -> Expr:
 
 
 def _skeleton_views(views: ViewSet) -> ViewSet:
-    vs = ViewSet()
-    for name, v in views.items():
-        vs.define(name, extended_skeleton(v))
-    return vs
+    """The extended skeletons of ``views``, built once and kept until the
+    next ``define``."""
+    if views._skeletons is None:
+        vs = ViewSet()
+        for name, v in views.items():
+            vs.define(name, extended_skeleton(v))
+        views._skeletons = vs
+    return views._skeletons
 
 
 def best_comp(v: Pattern, p: Pattern) -> Pattern:
@@ -162,6 +177,16 @@ def _candidate_for_prefix(p: Pattern, pairs: list[tuple[str, int]], dag_views: V
     return expr, unfold_expr(expr, dag_views)
 
 
+def _contained(d, p: Pattern, mode: str) -> bool:
+    """Whether the rule-normalized unfolding ``d`` lies in prefix ``p``;
+    efficient mode tests only tree-shaped unfoldings."""
+    if d is EMPTY:
+        return False
+    if d.is_tree():
+        return tree_contains(p, d)
+    return mode != EFFICIENT and dag_contained_in_tree(d, p)
+
+
 def rewrite_detailed(
     q: Pattern,
     views: ViewSet,
@@ -174,52 +199,50 @@ def rewrite_detailed(
     compensated view that root-maps into it, normalizes the unfolding with
     the rule engine and tests containment in the prefix.  In efficient
     mode the containment test runs only when the rules produced a tree.
+
+    ``timings`` holds the whole search (``rewriteMs``) and three of its
+    phases: root-mapping images, the rule fixpoint and containment.
     """
     t0 = time.perf_counter()
     q.validate()
+    mb = main_branch(q)
     prefixes = lossless_prefixes(q)
     if key_targets is not None:
         prefixes = filter_prefixes_by_keys(prefixes, key_targets)
     dag_views = views
     if classify(q) is FragmentClass.EXTENDED_SKELETON:
         dag_views = _skeleton_views(views)
+    t = time.perf_counter()
+    images = _view_images(views, q)
+    spent = {"mappingMs": time.perf_counter() - t, "rulesMs": 0.0, "containmentMs": 0.0}
     examined = 0
-    for idx, p in enumerate(prefixes):
-        pairs = _view_pairs(views, p)
+
+    def outcome(*args, **kw) -> RewriteOutcome:
+        timings = {"rewriteMs": (time.perf_counter() - t0) * 1e3}
+        timings.update((k, v * 1e3) for k, v in spent.items())
+        return RewriteOutcome(*args, candidates_examined=examined, timings=timings, **kw)
+
+    for p in prefixes:
+        pairs = _pairs_on(images, p)
         if not pairs:
             continue
         examined += 1
         expr, d = _candidate_for_prefix(p, pairs, dag_views)
+        t = time.perf_counter()
         d2, trace = apply_rules(d)
-        if mode == EFFICIENT:
-            ok = d2 is not EMPTY and d2.is_tree() and tree_contains(p, d2)
-        else:
-            if d2 is EMPTY:
-                ok = False
-            elif d2.is_tree():
-                ok = tree_contains(p, d2)
-            else:
-                ok = dag_contained_in_tree(d2, p)
+        t1 = time.perf_counter()
+        ok = _contained(d2, p, mode)
+        spent["rulesMs"] += t1 - t
+        spent["containmentMs"] += time.perf_counter() - t1
         if ok:
-            plan_expr = compensate_expr(expr, q, mb_node_at(q, idx))
-            return RewriteOutcome(
+            plan_expr = compensate_expr(expr, q, p.out)
+            return outcome(
                 RewritePlan(plan_expr, views),
                 "rewritten",
-                prefix_index=idx,
+                prefix_index=mb.index(p.out),
                 trace=trace,
-                candidates_examined=examined,
-                timings={"rewriteMs": (time.perf_counter() - t0) * 1e3},
             )
-    return RewriteOutcome(
-        None,
-        "noRewriting",
-        candidates_examined=examined,
-        timings={"rewriteMs": (time.perf_counter() - t0) * 1e3},
-    )
-
-
-def mb_node_at(q: Pattern, idx: int) -> int:
-    return main_branch(q)[idx]
+    return outcome(None, "noRewriting")
 
 
 def rewrite(
@@ -241,24 +264,15 @@ def all_rewrites(
     if minimize(q).size() != q.size():
         log.warning("all_rewrites: query is not minimal; minimizing")
         q = minimize(q)
-    for idx, p in enumerate(lossless_prefixes(q)):
-        pairs = _view_pairs(views, p)
-        if not pairs:
-            continue
+    images = _view_images(views, q)
+    for p in lossless_prefixes(q):
+        pairs = _pairs_on(images, p)
         for size in range(1, min(len(pairs), max_views) + 1):
             for subset in combinations(pairs, size):
                 expr, d = _candidate_for_prefix(p, list(subset), views)
                 d2, _ = apply_rules(d)
-                if d2 is EMPTY:
-                    continue
-                if d2.is_tree():
-                    ok = tree_contains(p, d2)
-                else:
-                    ok = dag_contained_in_tree(d2, p)
-                if ok:
-                    yield RewritePlan(
-                        compensate_expr(expr, q, mb_node_at(q, idx)), views
-                    )
+                if _contained(d2, p, FULL):
+                    yield RewritePlan(compensate_expr(expr, q, p.out), views)
 
 
 # ---------------------------------------------------------------------------

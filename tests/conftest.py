@@ -126,6 +126,56 @@ def brute_embeddings(p: Pattern, t) -> list[dict[int, int]]:
     return results
 
 
+def pinned_out_images(src: Pattern, dst: Pattern) -> list[int]:
+    """Images of OUT(src) under root-mappings into ``dst``: one exhaustive
+    search per main-branch node of ``dst``, pinned as the output's image."""
+    below: dict[int, set[int]] = {}
+    for n in dst.nodes:
+        seen: set[int] = set()
+        stack = [b for a, b, _ in dst.edges if a == n]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(b for a, b, _ in dst.edges if a == x)
+        below[n] = seen
+    src_mb, dst_mb = src.mb_nodes(), dst.mb_nodes()
+    order = sorted(src.nodes)
+
+    def linked(x: int, y: int, k: str) -> bool:
+        return (x, y, CHILD) in dst.edges if k == CHILD else y in below[x]
+
+    def fits(n: int, x: int, assign: dict[int, int]) -> bool:
+        if src.label(n) != dst.label(x):
+            return False
+        if src.test(n) is not None and src.test(n) != dst.test(x):
+            return False
+        if n in src_mb and x not in dst_mb:
+            return False
+        if n == src.root and x != dst.root:
+            return False
+        for a, b, k in src.edges:
+            if b == n and a in assign and not linked(assign[a], x, k):
+                return False
+            if a == n and b in assign and not linked(x, assign[b], k):
+                return False
+        return True
+
+    def search(i: int, assign: dict[int, int], pin: int) -> bool:
+        if i == len(order):
+            return True
+        n = order[i]
+        for x in [pin] if n == src.out else sorted(dst.nodes):
+            if fits(n, x, assign):
+                assign[n] = x
+                if search(i + 1, assign, pin):
+                    return True
+                del assign[n]
+        return False
+
+    return [x for x in sorted(dst_mb) if search(0, {}, x)]
+
+
 def brute_eval(p: Pattern, t) -> set[int]:
     if p is EMPTY:
         return set()

@@ -89,6 +89,9 @@ def test_rewrite_eval_generate_roundtrip(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "rewritten" and doc["plan"].endswith("//figure/image")
     assert doc["prefixIndex"] == 2
+    phases = ("mappingMs", "rulesMs", "containmentMs")
+    assert set(doc["timings"]) == {"rewriteMs", *phases}
+    assert 0 <= sum(doc["timings"][k] for k in phases) <= doc["timings"]["rewriteMs"]
 
     # negative decision exits 1
     vf2 = tmp_path / "none.txt"

@@ -304,6 +304,23 @@ def test_deep_chain_round_trip():
     assert eval_plan(parse('(doc("v")/v)//a[c]'), {"v": back}) == want
 
 
+def test_descendant_steps_are_linear_in_depth():
+    # A 2*10^4-deep chain of <a>: each // step climbs every node once, where
+    # walking each candidate's own ancestor chain is quadratic in the depth.
+    import time
+
+    from xpviews.documents import XmlTree
+
+    t = XmlTree()
+    chain = [t.add_node("L", None)]
+    for _ in range(20_000):
+        chain.append(t.add_node("a", chain[-1]))
+    start = time.perf_counter()
+    got = eval_tree_pattern(tree_from_text('doc("L")//a//a'), t)
+    assert time.perf_counter() - start < 2.0
+    assert got == set(chain[2:])
+
+
 def test_eval_sees_nodes_added_after_an_evaluation():
     t = parse_xml("<L><a/></L>")
     below_a = tree_from_text('doc("L")/a//a')

@@ -17,7 +17,7 @@ from xpviews import (
     union_free_oracle,
 )
 from xpviews.containment import CONTAINMENT, find_mapping
-from xpviews.interleaving import CapExceeded, quick_satisfiability
+from xpviews.interleaving import CapExceeded, _placements, quick_satisfiability
 from xpviews.pattern import canon_key, dag_intersect, to_text
 from xpviews.syntax import parse
 
@@ -185,3 +185,13 @@ def test_cap_exceeded():
     )
     with pytest.raises(CapExceeded):
         list(interleavings(d, cap=3))
+
+
+def test_cap_counts_duplicate_placements():
+    # five placements collapse to two distinct interleavings: the cap bounds
+    # the placements built, so a cap of two is exceeded
+    d = dag_from_expr(parse('doc("L")//a//a//a & doc("L")//a//a'))
+    distinct = len(list(interleavings(d)))
+    assert sum(1 for _ in _placements(d)) > distinct
+    with pytest.raises(CapExceeded):
+        list(interleavings(d, cap=distinct))

@@ -230,3 +230,17 @@ def test_to_text_rejects_a_root_predicate():
 def test_print_pattern_round_trip():
     text = 'doc("L")/lib//figure/image'
     assert to_text(tree_from_text(text)) == text
+
+
+def test_cached_structure_follows_edits():
+    p = tree_from_text('doc("L")/a/b')
+    order = p.topo_order()
+    assert isinstance(order, tuple) and p.topo_order() is order
+    assert p.label_index() == {"L": (0,), "a": (1,), "b": (2,)}
+    c = p.add_node("a")
+    p.add_edge(p.root, c, CHILD)
+    assert p.topo_order() == (0, 1, 2, 3)
+    assert p.label_index()["a"] == (1, 3)
+    p.remove_nodes({1, 2})
+    assert p.topo_order() == (0, 3)
+    assert p.label_index() == {"L": (0,), "a": (3,)}

@@ -6,6 +6,7 @@ from xpviews import (
     EFFICIENT,
     EMPTY,
     FULL,
+    GenConfig,
     TreeGenConfig,
     ViewSet,
     all_rewrites,
@@ -18,6 +19,7 @@ from xpviews import (
     eval_tree_pattern,
     filter_prefixes_by_keys,
     generate_tree,
+    generate_workload,
     materialize_all,
     nested_rewrite,
     prune_plan_fast,
@@ -29,11 +31,20 @@ from xpviews import (
     unfold_expr,
 )
 from xpviews.containment import root_mapping_out_images
-from xpviews.pattern import canon_key, compensate_pattern, lossless_prefixes, main_branch, to_text
-from xpviews.rewrite import _plan_expr, _view_pairs
+from xpviews.pattern import (
+    PNode,
+    canon_key,
+    compensate_pattern,
+    dag_from_expr,
+    lossless_prefixes,
+    main_branch,
+    to_text,
+)
+from xpviews.rewrite import _pairs_on, _plan_expr, _skeleton_views, _view_images, _view_pairs
 from xpviews.syntax import parse, print_expr
+from xpviews.workload import CATEGORIES
 
-from conftest import random_es_pattern, random_tree_pattern
+from conftest import pinned_out_images, random_es_pattern, random_tree_pattern
 
 V10 = {
     "v1": 'doc("L")//paper//section',
@@ -195,10 +206,118 @@ def test_rewrite_with_keys_restricts_prefixes():
     targets = [tree_from_text('doc("L")//section')]
     out = rewrite_detailed(q, vs, FULL, key_targets=targets)
     assert out.plan is not None
+    # the kept prefix is the query's third: the plan and its index are those
+    # found without keys, not those of the first prefix
+    plain = rewrite_detailed(q, vs, FULL)
+    assert out.prefix_index == plain.prefix_index == 2
+    assert out.plan.text == plain.plan.text
     none = rewrite_detailed(
         q, vs, FULL, key_targets=[tree_from_text('doc("L")//paper')]
     )
     assert none.plan is None
+
+
+# -- root-mapping images -------------------------------------------------------
+
+IMAGE_CASES = [
+    (
+        'doc("L")/a[b="x"]//a/b//a[.//c="y"]/a',
+        [
+            'doc("L")//a',
+            'doc("L")//a[b="x"]',
+            'doc("L")//a[b="y"]',
+            'doc("L")//a//a',
+            'doc("L")/a//b//a',
+            'doc("L")//a[.//c]',
+            'doc("L")//a[c="y"]',
+            'doc("L")//a[.//c="y"]/a',
+            'doc("L")//b/a',
+            'doc("L")/a/a',
+        ],
+    ),
+    (
+        'doc("L")//a[a//a]/a//a[a]/b',
+        [
+            'doc("L")//a[a]',
+            'doc("L")//a[.//a]/a',
+            'doc("L")//a/a//a',
+            'doc("L")//a[a/a]',
+            'doc("L")//a//a[a]',
+            'doc("L")//a[a][.//a]//a',
+        ],
+    ),
+]
+
+
+def _with_tests(rng, p):
+    """``p`` with a text test on some of its predicate leaves."""
+    mbn = p.mb_nodes()
+    for n in sorted(p.nodes):
+        if n not in mbn and not p.out_edges(n) and rng.random() < 0.5:
+            p.nodes[n] = PNode(p.label(n), rng.choice(("x", "y")))
+    return p
+
+
+def _image_cases():
+    for seed in range(1, 11):
+        for category in sorted(CATEGORIES):
+            _, q, views = generate_workload(GenConfig(seed=seed, category=category))
+            yield views, q
+    for qt, vts in IMAGE_CASES:
+        yield ViewSet.from_texts({f"v{i}": t for i, t in enumerate(vts)}), tree_from_text(qt)
+    # repeated labels: two of them, with text tests on predicate leaves
+    rng = random.Random(17)
+    for _ in range(100):
+        q = random_tree_pattern(rng, mb_len=rng.randint(2, 5), labels=("a", "b"), pred_prob=0.6)
+        views = ViewSet(
+            {
+                f"v{i}": _with_tests(
+                    rng,
+                    random_tree_pattern(
+                        rng, mb_len=rng.randint(1, 2), labels=("a", "b"), pred_prob=0.3
+                    ),
+                )
+                for i in range(6)
+            }
+        )
+        yield views, _with_tests(rng, q)
+
+
+def test_one_pass_images_match_pinned_search():
+    sizes = [0, 0, 0]  # (view, prefix) pairs with no, one, several images
+    for views, q in _image_cases():
+        images = _view_images(views, q)
+        for p in lossless_prefixes(q):
+            for name, v in views.items():
+                got = root_mapping_out_images(v, p)
+                assert got == pinned_out_images(v, p), (to_text(q), name, to_text(p))
+                sizes[min(len(got), 2)] += 1
+            # images into the query, kept where they lie on the prefix
+            assert _pairs_on(images, p) == _view_pairs(views, p)
+    assert sizes[1] >= 400 and sizes[2] >= 100
+
+
+def test_images_need_a_tree_source():
+    d = dag_from_expr(parse('doc("L")//a & doc("L")/b//a'))
+    with pytest.raises(ValueError):
+        root_mapping_out_images(d, tree_from_text('doc("L")/b/a'))
+
+
+def test_skeleton_views_are_kept_until_define():
+    vs = ViewSet.from_texts({"v1": 'doc("L")//a[.//b]/b'})
+    first = _skeleton_views(vs)
+    assert _skeleton_views(vs) is first
+    vs.define("v2", tree_from_text('doc("L")//b'))
+    again = _skeleton_views(vs)
+    assert again is not first and list(again) == ["v1", "v2"]
+
+
+def test_outcome_reports_phase_timings():
+    out = rewrite_detailed(tree_from_text(Q10), views10(), FULL)
+    t = out.timings
+    assert set(t) == {"rewriteMs", "mappingMs", "rulesMs", "containmentMs"}
+    assert min(t.values()) >= 0
+    assert t["mappingMs"] + t["rulesMs"] + t["containmentMs"] <= t["rewriteMs"]
 
 
 # -- nested plans --------------------------------------------------------------
