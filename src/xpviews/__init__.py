@@ -77,6 +77,7 @@ from .rewrite import (
     prune_plan_fast,
     rewrite,
     rewrite_detailed,
+    unfolding_contained,
 )
 from .workload import BenchReport, GenConfig, GenerationTimeout, bench, generate_workload
 

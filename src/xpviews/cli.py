@@ -189,6 +189,7 @@ def cmd_rewrite(args) -> int:
                     "prefixIndex": outcome.prefix_index,
                     "ruleTrace": [s.instance.rule for s in outcome.trace],
                     "timings": outcome.timings,
+                    "interleavingFallbacks": outcome.interleaving_fallbacks,
                 }
             )
         )

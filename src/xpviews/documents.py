@@ -121,6 +121,11 @@ def parse_xml(text: str) -> XmlTree:
     return t
 
 
+# Indentation stops growing at this depth, so deep chains print in text
+# linear in their node count; parse_xml ignores the whitespace.
+MAX_INDENT_DEPTH = 32
+
+
 def print_xml(t: XmlTree, node: Optional[int] = None, indent: int = 0) -> str:
     lines: list[str] = []
     # (unprinted children, their depth, their parent's closing tag)
@@ -130,7 +135,7 @@ def print_xml(t: XmlTree, node: Optional[int] = None, indent: int = 0) -> str:
     while stack:
         kids, depth, closing = stack[-1]
         for n in kids:
-            pad = "  " * depth
+            pad = "  " * min(depth, MAX_INDENT_DEPTH)
             label = t.labels[n]
             inner = t.texts[n]
             if t.children[n]:

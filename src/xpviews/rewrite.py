@@ -70,6 +70,7 @@ class RewriteOutcome:
     trace: list[TraceStep] = field(default_factory=list)
     candidates_examined: int = 0
     timings: dict = field(default_factory=dict)
+    interleaving_fallbacks: int = 0  # prefixes whose fixpoint stayed a DAG
 
 
 def _view_images(views: ViewSet, q: Pattern) -> list[tuple[str, list[int]]]:
@@ -178,13 +179,23 @@ def _candidate_for_prefix(p: Pattern, pairs: list[tuple[str, int]], dag_views: V
 
 
 def _contained(d, p: Pattern, mode: str) -> bool:
-    """Whether the rule-normalized unfolding ``d`` lies in prefix ``p``;
-    efficient mode tests only tree-shaped unfoldings."""
+    """Whether the rule-normalized unfolding ``d`` lies in the tree ``p``:
+    a tree by a containment mapping, a DAG by its interleavings.  The rules
+    preserve equivalence, so this is exact; efficient mode rejects DAGs."""
     if d is EMPTY:
-        return False
+        return True
     if d.is_tree():
         return tree_contains(p, d)
-    return mode != EFFICIENT and dag_contained_in_tree(d, p)
+    if mode == EFFICIENT:
+        return False
+    log.debug("fixpoint stays a %d-node DAG: enumerating interleavings", d.size())
+    return dag_contained_in_tree(d, p)
+
+
+def unfolding_contained(d, p: Pattern) -> bool:
+    """d ⊑ p for a DAG ``d`` and a tree ``p``: the rule fixpoint first,
+    interleavings only when that fixpoint is still a DAG."""
+    return _contained(apply_rules(d)[0], p, FULL)
 
 
 def rewrite_detailed(
@@ -215,12 +226,14 @@ def rewrite_detailed(
     t = time.perf_counter()
     images = _view_images(views, q)
     spent = {"mappingMs": time.perf_counter() - t, "rulesMs": 0.0, "containmentMs": 0.0}
-    examined = 0
+    examined = fallbacks = 0
 
     def outcome(*args, **kw) -> RewriteOutcome:
         timings = {"rewriteMs": (time.perf_counter() - t0) * 1e3}
         timings.update((k, v * 1e3) for k, v in spent.items())
-        return RewriteOutcome(*args, candidates_examined=examined, timings=timings, **kw)
+        return RewriteOutcome(
+            *args, candidates_examined=examined, timings=timings, interleaving_fallbacks=fallbacks, **kw
+        )
 
     for p in prefixes:
         pairs = _pairs_on(images, p)
@@ -231,6 +244,8 @@ def rewrite_detailed(
         t = time.perf_counter()
         d2, trace = apply_rules(d)
         t1 = time.perf_counter()
+        if mode != EFFICIENT and d2 is not EMPTY and not d2.is_tree():
+            fallbacks += 1
         ok = _contained(d2, p, mode)
         spent["rulesMs"] += t1 - t
         spent["containmentMs"] += time.perf_counter() - t1
@@ -270,8 +285,7 @@ def all_rewrites(
         for size in range(1, min(len(pairs), max_views) + 1):
             for subset in combinations(pairs, size):
                 expr, d = _candidate_for_prefix(p, list(subset), views)
-                d2, _ = apply_rules(d)
-                if _contained(d2, p, FULL):
+                if unfolding_contained(d, p):
                     yield RewritePlan(compensate_expr(expr, q, p.out), views)
 
 
@@ -420,9 +434,7 @@ def nested_rewrite(q: Pattern, views: ViewSet) -> Optional[RewritingGraph]:
     if cand is None:
         return None
     d = cand.unfold()
-    # q ⊑ unfold via a containment mapping; unfold ⊑ q via interleavings
-    if find_mapping(d, q, CONTAINMENT) is None:
-        return None
-    if not dag_contained_in_tree(d, q):
+    # q ⊑ unfold via a containment mapping; unfold ⊑ q via the rule fixpoint
+    if find_mapping(d, q, CONTAINMENT) is None or not unfolding_contained(d, q):
         return None
     return cand

@@ -77,6 +77,29 @@ def random_intersection(
     return dag_intersect(parts)
 
 
+def random_dag_corpus(seed: int, count: int):
+    """``count`` satisfiable-looking DAGs, alternately built from extended
+    skeletons and from arbitrary tree patterns: yields (built from
+    skeletons, DAG, the branches it intersects)."""
+    from xpviews.pattern import dag_intersect
+
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        out_label = rng.choice("abc")
+        es = made % 2 == 0
+        gen = random_es_pattern if es else random_tree_pattern
+        parts = [
+            gen(rng, mb_len=rng.randint(1, 4), out_label=out_label)
+            for _ in range(rng.randint(2, 3))
+        ]
+        d = dag_intersect(parts)
+        if d is EMPTY or len(d.mb_nodes()) > 12:
+            continue
+        made += 1
+        yield es, d, parts
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

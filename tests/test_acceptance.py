@@ -39,6 +39,7 @@ from xpviews import (
     tree_contains,
     tree_from_text,
     unfold_expr,
+    unfolding_contained,
     union_free_oracle,
 )
 from xpviews.containment import CONTAINMENT, find_mapping
@@ -47,7 +48,7 @@ from xpviews.pattern import canon_key, dag_intersect, lossless_prefixes, to_text
 from xpviews.rewrite import _plan_expr, _view_pairs
 from xpviews.syntax import parse
 
-from conftest import random_es_pattern, random_tree_pattern, two_branch_merges
+from conftest import random_dag_corpus, random_es_pattern, random_tree_pattern, two_branch_merges
 
 
 @contextmanager
@@ -196,28 +197,10 @@ def test_criterion_3_seven_interleavings():
 TRACE_BOUND_LOG: list[tuple[int, int, int]] = []  # (|NODES|, preds, trace length)
 
 
-def _random_dag_corpus(seed: int, count: int):
-    rng = random.Random(seed)
-    made = 0
-    while made < count:
-        out_label = rng.choice("abc")
-        es = made % 2 == 0
-        gen = random_es_pattern if es else random_tree_pattern
-        parts = [
-            gen(rng, mb_len=rng.randint(1, 4), out_label=out_label)
-            for _ in range(rng.randint(2, 3))
-        ]
-        d = dag_intersect(parts)
-        if d is EMPTY or len(d.mb_nodes()) > 12:
-            continue
-        made += 1
-        yield es, d
-
-
 def test_criterion_4_oracle_equivalence():
     with criterion(4, "500 random DAGs: rules sound, ES-complete, sat agrees"):
         failures = 0
-        for es, d in _random_dag_corpus(20240811, 500):
+        for es, d, _ in random_dag_corpus(20240811, 500):
             preds = sum(len(d.pred_edges(n)) for n in d.mb_nodes())
             out, trace = apply_rules(d)
             TRACE_BOUND_LOG.append((d.size(), preds, len(trace)))
@@ -252,7 +235,10 @@ def _brute_rewriting_exists(q, views) -> bool:
         d = unfold_expr(_plan_expr(pairs, p), views)
         if d is EMPTY:
             continue
-        if dag_contained_in_tree(d, p):
+        contained = dag_contained_in_tree(d, p)
+        # the rules-first decision must agree with plain enumeration
+        assert unfolding_contained(d, p) == contained, (to_text(q), to_text(p))
+        if contained:
             return True
     return False
 

@@ -92,6 +92,7 @@ def test_rewrite_eval_generate_roundtrip(tmp_path, capsys):
     phases = ("mappingMs", "rulesMs", "containmentMs")
     assert set(doc["timings"]) == {"rewriteMs", *phases}
     assert 0 <= sum(doc["timings"][k] for k in phases) <= doc["timings"]["rewriteMs"]
+    assert doc["interleavingFallbacks"] == 0
 
     # negative decision exits 1
     vf2 = tmp_path / "none.txt"
@@ -187,3 +188,18 @@ def test_interleave_cap_exceeded_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("xpviews.cli.interleavings", overrun)
     code, _, err = run(capsys, "interleave", 'doc("L")//a & doc("L")/a', "--count")
     assert code == 2 and "cap exceeded" in err
+
+
+def test_rewrite_json_counts_interleaving_fallbacks(tmp_path, capsys):
+    qf = tmp_path / "q.txt"
+    qf.write_text('doc("L")/b/a/a//b[a]\n')
+    vf = tmp_path / "views.txt"
+    vf.write_text(
+        'v0 = doc("L")/b/a//a\nv1 = doc("L")/b//a/a\nv2 = doc("L")/b/a/a//b\n'
+    )
+    code, out, _ = run(
+        capsys, "rewrite", "--query", str(qf), "--views", str(vf), "--out", "json"
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "rewritten"
+    assert doc["interleavingFallbacks"] == 1

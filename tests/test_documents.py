@@ -257,6 +257,27 @@ def test_xml_round_trip_and_rejections():
         parse_xml("<a><b</a>")
 
 
+def test_print_xml_deep_chain_is_linear():
+    # indentation stops growing at a fixed depth, so a 10^4-deep chain
+    # prints in a few dozen bytes per node, not two spaces per level
+    from xpviews.documents import MAX_INDENT_DEPTH, XmlTree
+
+    depth = 10_000
+    t = XmlTree()
+    n = t.add_node("L", None)
+    for i in range(depth):
+        n = t.add_node("a", n, "x" if i % 1000 == 0 else "")
+    text = print_xml(t)
+    assert len(text) <= (2 * MAX_INDENT_DEPTH + 16) * 2 * t.size()
+    back = parse_xml(text)
+    assert (back.labels, back.parent, back.texts) == (t.labels, t.parent, t.texts)
+    assert print_xml(back) == text
+    # shallower documents keep two spaces per level
+    assert print_xml(parse_xml("<a><b><c>t</c><d/></b></a>")) == (
+        "<a>\n  <b>\n    <c>t</c>\n    <d/>\n  </b>\n</a>"
+    )
+
+
 def test_view_document_xml_round_trip(lib_tree):
     from xpviews.documents import view_document_from_xml, view_document_to_xml
 
@@ -278,9 +299,9 @@ def test_view_document_xml_round_trip(lib_tree):
 
 def test_deep_chain_round_trip():
     # 10^4 levels: an <a> chain with a <b> at depth 8,000, so the view
-    # //b holds a 2,000-deep copy.  The indented text form of a chain is
-    # quadratic in its depth (a 10^4-deep view prints 200 MB), so the view,
-    # not the whole chain, is serialized.
+    # //b holds a 2,000-deep copy, which is serialized as a view document;
+    # the whole chain's text form is checked by
+    # test_print_xml_deep_chain_is_linear.
     from xpviews.documents import view_document_from_xml, view_document_to_xml
 
     depth, below = 10_000, 2_000

@@ -411,3 +411,27 @@ def test_nested_plan_evaluates_like_query():
         )
         docs = materialize_all(vs, t)
         assert eval_plan(expr, docs) == eval_tree_pattern(q, t)
+
+
+def test_interleaving_fallbacks_are_counted_and_logged(caplog):
+    # the prefix ending at the second `a` intersects v0 and v1, whose
+    # fixpoint stays a DAG: full mode falls back to interleavings there and
+    # fails, then the whole query adds v2 and reduces to a tree
+    views = ViewSet.from_texts(
+        {"v0": 'doc("L")/b/a//a', "v1": 'doc("L")/b//a/a', "v2": 'doc("L")/b/a/a//b'}
+    )
+    q = tree_from_text('doc("L")/b/a/a//b[a]')
+    out = rewrite_detailed(q, views, FULL)
+    assert out.plan is not None and out.interleaving_fallbacks == 1
+    assert rewrite_detailed(q, views, EFFICIENT).interleaving_fallbacks == 0
+    vs2 = ViewSet.from_texts({k: V10[k] for k in ("v1", "v2")})
+    tree = rewrite_detailed(tree_from_text(QSUB), vs2, FULL)
+    assert tree.plan is not None and tree.interleaving_fallbacks == 0
+
+    # nested rewriting says when its unfolding's fixpoint stays a DAG
+    with caplog.at_level("DEBUG", logger="xpviews.rewrite"):
+        nested_rewrite(tree_from_text(QSUB), vs2)
+        assert not caplog.records
+        views = ViewSet.from_texts({"v0": 'doc("L")//a', "v1": 'doc("L")/a//b'})
+        assert nested_rewrite(tree_from_text('doc("L")/a/b'), views) is None
+    assert any("interleavings" in r.getMessage() for r in caplog.records)
