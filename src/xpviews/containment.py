@@ -232,16 +232,9 @@ def minimize(p: Pattern) -> Pattern:
 
 
 def equivalent(p1: Pattern, p2: Pattern) -> bool:
-    """Tree-pattern equivalence: isomorphic after minimization.  DAGs are
-    normalized by the rules first; fixpoints that stay DAGs are compared
-    through interleavings both ways."""
-    from .rules import apply_rules
-
+    """Tree-pattern equivalence: isomorphic after minimization."""
     if p1 is EMPTY or p2 is EMPTY:
         return (p1 is EMPTY) == (p2 is EMPTY)
-    if not (p1.is_tree() and p2.is_tree()):
-        f1, f2 = apply_rules(p1)[0], apply_rules(p2)[0]
-        if f1 is EMPTY or f2 is EMPTY or not (f1.is_tree() and f2.is_tree()):
-            return dag_contained_in_dag(p1, p2) and dag_contained_in_dag(p2, p1)
-        p1, p2 = f1, f2
-    return canon_key(minimize(p1)) == canon_key(minimize(p2))
+    if p1.is_tree() and p2.is_tree():
+        return canon_key(minimize(p1)) == canon_key(minimize(p2))
+    return dag_contained_in_dag(p1, p2) and dag_contained_in_dag(p2, p1)

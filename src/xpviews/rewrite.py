@@ -178,24 +178,25 @@ def _candidate_for_prefix(p: Pattern, pairs: list[tuple[str, int]], dag_views: V
     return expr, unfold_expr(expr, dag_views)
 
 
-def _contained(d, p: Pattern, mode: str) -> bool:
+def _contained(d, p: Pattern, mode: str) -> tuple[bool, bool]:
     """Whether the rule-normalized unfolding ``d`` lies in the tree ``p``:
     a tree by a containment mapping, a DAG by its interleavings.  The rules
-    preserve equivalence, so this is exact; efficient mode rejects DAGs."""
+    preserve equivalence, so this is exact; efficient mode rejects DAGs.
+    The second value says whether interleavings were enumerated."""
     if d is EMPTY:
-        return True
+        return True, False
     if d.is_tree():
-        return tree_contains(p, d)
+        return tree_contains(p, d), False
     if mode == EFFICIENT:
-        return False
+        return False, False
     log.debug("fixpoint stays a %d-node DAG: enumerating interleavings", d.size())
-    return dag_contained_in_tree(d, p)
+    return dag_contained_in_tree(d, p), True
 
 
 def unfolding_contained(d, p: Pattern) -> bool:
     """d ⊑ p for a DAG ``d`` and a tree ``p``: the rule fixpoint first,
     interleavings only when that fixpoint is still a DAG."""
-    return _contained(apply_rules(d)[0], p, FULL)
+    return _contained(apply_rules(d)[0], p, FULL)[0]
 
 
 def rewrite_detailed(
@@ -244,9 +245,8 @@ def rewrite_detailed(
         t = time.perf_counter()
         d2, trace = apply_rules(d)
         t1 = time.perf_counter()
-        if mode != EFFICIENT and d2 is not EMPTY and not d2.is_tree():
-            fallbacks += 1
-        ok = _contained(d2, p, mode)
+        ok, fell_back = _contained(d2, p, mode)
+        fallbacks += fell_back
         spent["rulesMs"] += t1 - t
         spent["containmentMs"] += time.perf_counter() - t1
         if ok:

@@ -189,17 +189,3 @@ def test_interleave_cap_exceeded_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "interleave", 'doc("L")//a & doc("L")/a', "--count")
     assert code == 2 and "cap exceeded" in err
 
-
-def test_rewrite_json_counts_interleaving_fallbacks(tmp_path, capsys):
-    qf = tmp_path / "q.txt"
-    qf.write_text('doc("L")/b/a/a//b[a]\n')
-    vf = tmp_path / "views.txt"
-    vf.write_text(
-        'v0 = doc("L")/b/a//a\nv1 = doc("L")/b//a/a\nv2 = doc("L")/b/a/a//b\n'
-    )
-    code, out, _ = run(
-        capsys, "rewrite", "--query", str(qf), "--views", str(vf), "--out", "json"
-    )
-    doc = json.loads(out)
-    assert code == 0 and doc["status"] == "rewritten"
-    assert doc["interleavingFallbacks"] == 1
