@@ -177,12 +177,12 @@ def dag_contained_in_tree(d, p: Pattern) -> bool:
 
 def dag_contained_in_dag(d1, d2) -> bool:
     """d1 ⊑ d2 via interleavings of the left side."""
-    from .interleaving import interleavings
+    from .interleaving import first_interleaving, interleavings
 
     if d1 is EMPTY:
         return True
-    if d2 is EMPTY:
-        return False
+    if d2 is EMPTY:  # d1 denotes the empty set iff it has no interleaving
+        return first_interleaving(d1) is None
     for i in interleavings(d1):
         if find_mapping(d2, i.pattern, CONTAINMENT) is None:
             return False
@@ -233,8 +233,6 @@ def minimize(p: Pattern) -> Pattern:
 
 def equivalent(p1: Pattern, p2: Pattern) -> bool:
     """Tree-pattern equivalence: isomorphic after minimization."""
-    if p1 is EMPTY or p2 is EMPTY:
-        return (p1 is EMPTY) == (p2 is EMPTY)
-    if p1.is_tree() and p2.is_tree():
+    if p1 is not EMPTY and p2 is not EMPTY and p1.is_tree() and p2.is_tree():
         return canon_key(minimize(p1)) == canon_key(minimize(p2))
     return dag_contained_in_dag(p1, p2) and dag_contained_in_dag(p2, p1)

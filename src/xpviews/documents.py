@@ -8,12 +8,13 @@ are supported; attributes and namespaces are rejected.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .syntax import CHILD, DESC, Compensated, Expr, Intersect, Path, Pred, Step
-from .pattern import EMPTY, Pattern, UnknownView, ViewSet, _graft_pred, _graft_steps
+from .pattern import EMPTY, Pattern, UnknownView, ViewSet, _graft_pred, _graft_steps, main_branch
 
 
 class UnsupportedXml(ValueError):
@@ -21,7 +22,9 @@ class UnsupportedXml(ValueError):
 
 
 class XmlTree:
-    """Rooted unordered tree with persistent integer node ids."""
+    """Unordered tree with persistent integer node ids.  A fragment store
+    (see ``ViewDocument``) is a forest: each of its parentless nodes tops a
+    subtree copied from a base document, and ``root`` is unused."""
 
     def __init__(self):
         self.labels: dict[int, str] = {}
@@ -30,9 +33,10 @@ class XmlTree:
         self.parent: dict[int, Optional[int]] = {}
         self.root: int = -1
         self._next = 0
-        self._tin: Optional[dict[int, int]] = None
-        self._tout: Optional[dict[int, int]] = None
         self._by_label: Optional[dict[str, list[int]]] = None
+        self._rank: Optional[dict[int, int]] = None
+        self._end: dict[int, int] = {}
+        self._ranked: dict[str, tuple[list[int], list[int]]] = {}
 
     def add_node(self, label: str, parent: Optional[int], text: str = "") -> int:
         nid = self._next
@@ -45,34 +49,18 @@ class XmlTree:
             self.root = nid
         else:
             self.children[parent].append(nid)
-        self._tin = None
-        self._by_label = None
+        self._dirty()
         return nid
+
+    def _dirty(self) -> None:
+        self._by_label = None
+        self._rank = None
 
     def size(self) -> int:
         return len(self.labels)
 
-    def _index(self) -> None:
-        # Euler intervals for O(1) strict-descendant tests.
-        tin: dict[int, int] = {}
-        tout: dict[int, int] = {}
-        clock = 0
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            n, done = stack.pop()
-            if done:
-                tout[n] = clock
-                clock += 1
-                continue
-            tin[n] = clock
-            clock += 1
-            stack.append((n, True))
-            for c in reversed(self.children[n]):
-                stack.append((c, False))
-        self._tin, self._tout = tin, tout
-
     def _label_index(self) -> dict[str, list[int]]:
-        # Lists rather than sets: view documents reach millions of nodes.
+        # Lists rather than sets: documents reach millions of nodes.
         idx = self._by_label
         if idx is None:
             idx = {}
@@ -81,10 +69,54 @@ class XmlTree:
             self._by_label = idx
         return idx
 
-    def is_strict_descendant(self, d: int, a: int) -> bool:
-        if self._tin is None:
+    def _index(self) -> None:
+        # Preorder ranks over every parentless node: the subtree of n is the
+        # rank interval [rank[n], end[n]) (region encoding), and each label
+        # keeps its nodes, and their ranks, in preorder.
+        order: list[int] = []
+        stack = [n for n, p in self.parent.items() if p is None]
+        while stack:
+            n = stack.pop()
+            order.append(n)
+            stack.extend(reversed(self.children[n]))
+        rank = {n: i for i, n in enumerate(order)}
+        end: dict[int, int] = {}
+        for n in reversed(order):
+            kids = self.children[n]
+            end[n] = end[kids[-1]] if kids else rank[n] + 1
+        ranked: dict[str, tuple[list[int], list[int]]] = {}
+        for i, n in enumerate(order):
+            ranks, nodes = ranked.setdefault(self.labels[n], ([], []))
+            ranks.append(i)
+            nodes.append(n)
+        self._rank, self._end, self._ranked = rank, end, ranked
+
+    def below(self, n: int, label: str) -> list[int]:
+        """The strict descendants of ``n`` labelled ``label``, in preorder."""
+        if self._rank is None:
             self._index()
-        return d != a and self._tin[a] < self._tin[d] and self._tout[d] < self._tout[a]
+        ranks, nodes = self._ranked.get(label, ((), ()))
+        lo = bisect_right(ranks, self._rank[n])
+        return nodes[lo : bisect_left(ranks, self._end[n], lo)]
+
+    def outermost(self, nodes: Iterable[int]) -> list[int]:
+        """The nodes of ``nodes`` without a strict ancestor among them, in
+        preorder."""
+        if self._rank is None:
+            self._index()
+        rank, end = self._rank, self._end
+        out: list[int] = []
+        reach = -1
+        for n in sorted(nodes, key=rank.__getitem__):
+            if rank[n] >= reach:
+                out.append(n)
+                reach = end[n]
+        return out
+
+    def is_strict_descendant(self, d: int, a: int) -> bool:
+        if self._rank is None:
+            self._index()
+        return self._rank[a] < self._rank[d] < self._end[a]
 
     def descendants(self, n: int) -> list[int]:
         out = []
@@ -310,97 +342,114 @@ def _root_path(t: XmlTree, n: int) -> list[int]:
 
 @dataclass
 class ViewDocument:
-    """Materialized view: answer subtrees copied under a root named after
-    the view, with a copy-to-original id map."""
+    """Materialized view: the sorted ids of its answer roots in ``tree``, a
+    fragment store that holds each answer's whole subtree under the node
+    ids of the base document.  Views materialized together share one
+    store, so a node inside several answers is held once."""
 
     name: str
     tree: XmlTree
-    originals: dict[int, int]
-    answer_roots: list[int] = field(default_factory=list)
+    answer_roots: tuple[int, ...]
 
 
-def _copy_subtree(
-    src: XmlTree, n: int, dst: XmlTree, parent: Optional[int], sources: dict[int, int]
-) -> int:
-    """Copy the subtree of ``n`` below ``parent`` in preorder, recording
-    each copy's source node in ``sources``; returns the copy of ``n``."""
-    top = dst.add_node(src.labels[n], parent, src.texts[n])
-    sources[top] = n
-    # (unvisited children, their parent copy), one entry per open node
-    stack = [(iter(src.children[n]), top)]
+def _store_subtree(store: XmlTree, t: XmlTree, n: int) -> None:
+    """Hold the subtree of ``n`` in ``store`` under its ids in ``t``.  A
+    subtree the store already holds is linked below its parent, not copied
+    again."""
+    if n in store.labels:
+        return
+    stack = [n]
     while stack:
-        kids, at = stack[-1]
-        for x in kids:
-            nid = dst.add_node(src.labels[x], at, src.texts[x])
-            sources[nid] = x
-            stack.append((iter(src.children[x]), nid))
-            break
-        else:
-            stack.pop()
-    return top
+        x = stack.pop()
+        store.parent[x] = None if x == n else t.parent[x]
+        if x in store.labels:
+            continue
+        store.labels[x] = t.labels[x]
+        store.texts[x] = t.texts[x]
+        store.children[x] = list(t.children[x])
+        stack.extend(t.children[x])
+    store._dirty()
 
 
-def materialize_view(v: Pattern, name: str, t: XmlTree) -> ViewDocument:
-    vt = XmlTree()
-    root = vt.add_node(name, None)
-    originals: dict[int, int] = {}
-    roots = [_copy_subtree(t, a, vt, root, originals) for a in sorted(eval_tree_pattern(v, t))]
-    return ViewDocument(name, vt, originals, roots)
+def materialize_view(
+    v: Pattern, name: str, t: XmlTree, store: Optional[XmlTree] = None
+) -> ViewDocument:
+    """The answers of ``v`` over ``t``, their subtrees added to ``store``
+    (a new one by default)."""
+    store = XmlTree() if store is None else store
+    roots = tuple(sorted(eval_tree_pattern(v, t)))
+    for a in roots:
+        _store_subtree(store, t, a)
+    return ViewDocument(name, store, roots)
 
 
 def materialize_all(views: ViewSet, t: XmlTree) -> dict[str, ViewDocument]:
-    return {name: materialize_view(v, name, t) for name, v in views.items()}
+    """Every view's answers, all held in one fragment store."""
+    store = XmlTree()
+    return {name: materialize_view(v, name, t, store) for name, v in views.items()}
 
 
 ORIGID_LABEL = "__origid"
 
 
 def view_document_to_xml(vd: ViewDocument) -> str:
-    """Serialize a view document; each answer root carries a reserved
-    ``__origid`` marker element holding its original node id."""
+    """Serialize a view document: below a root named after the view, the
+    subtrees of its outermost answers, each answer root carrying a reserved
+    ``__origid`` marker element with its original node id as first child."""
+    t, answers = vd.tree, set(vd.answer_roots)
     marked = XmlTree()
-    sources: dict[int, int] = {}
-    _copy_subtree(vd.tree, vd.tree.root, marked, None, sources)
-    answer_roots = set(vd.answer_roots)
-    for nid, n in sources.items():
-        if n in answer_roots:
-            marked.add_node(ORIGID_LABEL, nid, str(vd.originals[n]))
-            kids = marked.children[nid]
-            kids.insert(0, kids.pop())  # the marker prints first
+    top = marked.add_node(vd.name, None)
+    # (store node, parent in the marked tree), popped in preorder
+    stack = [(n, top) for n in reversed(t.outermost(answers))]
+    while stack:
+        n, parent = stack.pop()
+        nid = marked.add_node(t.labels[n], parent, t.texts[n])
+        if n in answers:
+            marked.add_node(ORIGID_LABEL, nid, str(n))
+        stack.extend((c, nid) for c in reversed(t.children[n]))
     return print_xml(marked)
 
 
 def view_document_from_xml(text: str, base: XmlTree) -> ViewDocument:
-    """Rebuild a view document; originals of inner copies are recovered by
-    walking the base document from each marked answer root (copies preserve
-    child order)."""
+    """Rebuild a view document in a new store.  Ids of unmarked nodes are
+    recovered by walking the base document from the nearest marked answer
+    root (copies preserve child order)."""
     marked = parse_xml(text)
-    vt = XmlTree()
-    originals: dict[int, int] = {}
-    answer_roots: list[int] = []
-    root = vt.add_node(marked.labels[marked.root], None)
-    # (marked node, parent copy, original); the original of an answer root
-    # is read from its marker
-    stack: list[tuple[int, int, Optional[int]]] = [
-        (c, root, None) for c in reversed(marked.children[marked.root])
+    store = XmlTree()
+    answers: set[int] = set()
+    # (marked node, its original id, the original of its parent); the
+    # original of an outermost answer is read from its marker
+    stack: list[tuple[int, Optional[int], Optional[int]]] = [
+        (c, None, None) for c in reversed(marked.children[marked.root])
     ]
     while stack:
-        n, parent, orig = stack.pop()
-        nid = vt.add_node(marked.labels[n], parent, marked.texts[n])
+        n, orig, parent = stack.pop()
         kids = marked.children[n]
-        if orig is None:
-            markers = [c for c in kids if marked.labels[c] == ORIGID_LABEL]
-            if len(markers) != 1:
-                raise UnsupportedXml("answer root lacks its __origid marker")
-            orig = int(marked.texts[markers[0]])
-            kids = [c for c in kids if c not in markers]
-            answer_roots.append(nid)
-        originals[nid] = orig
-        base_kids = base.children[orig]
-        if len(base_kids) != len(kids):
+        markers = [c for c in kids if marked.labels[c] == ORIGID_LABEL]
+        if len(markers) > 1:
+            raise UnsupportedXml("a node carries several __origid markers")
+        if orig is None and not markers:
+            raise UnsupportedXml("answer root lacks its __origid marker")
+        if markers:
+            mark = int(marked.texts[markers[0]])
+            if orig not in (None, mark):
+                raise UnsupportedXml("__origid marker does not match the base document")
+            orig = mark
+            answers.add(orig)
+            kids = [c for c in kids if c != markers[0]]
+        base_kids = base.children.get(orig)
+        if base_kids is None or len(base_kids) != len(kids):
             raise UnsupportedXml("view copy does not match the base document")
-        stack.extend((c, nid, bc) for c, bc in zip(reversed(kids), reversed(base_kids)))
-    return ViewDocument(marked.labels[marked.root], vt, originals, answer_roots)
+        if orig in store.labels:  # a nested answer written out twice
+            if parent is not None:
+                store.parent[orig] = parent
+            continue
+        store.labels[orig] = marked.labels[n]
+        store.texts[orig] = marked.texts[n]
+        store.children[orig] = list(base_kids)
+        store.parent[orig] = parent
+        stack.extend((c, bc, orig) for c, bc in zip(reversed(kids), reversed(base_kids)))
+    return ViewDocument(marked.labels[marked.root], store, tuple(sorted(answers)))
 
 
 def _steps_pattern(head_preds: tuple[Pred, ...], steps: tuple[Step, ...]) -> Pattern:
@@ -417,14 +466,17 @@ def _steps_pattern(head_preds: tuple[Pred, ...], steps: tuple[Step, ...]) -> Pat
 def eval_plan(plan: Expr, docs: dict[str, ViewDocument]) -> set[int]:
     """Evaluate a rewrite plan over view documents.
 
-    Intersections intersect *original* node ids; navigation proceeds inside
-    whichever view document holds a copy of the current node.  The result
-    is a set of original ids in the base document.
+    The result is a set of original node ids in the base document.
+    Intersections intersect original ids, and navigation stays inside a
+    view's answer subtrees.  An intersection enumerates its cheapest branch
+    first.  Every other branch checks each surviving id by climbing from it
+    towards an answer root of its view (a semi-join), unless the branch
+    costs less to enumerate than the ids left to check.
     """
-    return set(_eval_plan_reps(plan, docs))
+    return _compile(plan, docs).run()
 
 
-def _eval_plan_reps(plan: Expr, docs: dict[str, ViewDocument]) -> dict[int, tuple[str, int]]:
+def _compile(plan: Expr, docs: dict[str, ViewDocument]) -> _Meet | _Navigation:
     if isinstance(plan, Path):
         if plan.doc not in docs:
             raise UnknownView(plan.doc)
@@ -432,28 +484,138 @@ def _eval_plan_reps(plan: Expr, docs: dict[str, ViewDocument]) -> dict[int, tupl
         head = plan.steps[0]
         if head.label != vd.name:
             raise UnknownView(f"plan head {head.label!r} does not match view {vd.name!r}")
-        hits = _embed(_steps_pattern(head.preds, plan.steps[1:]), vd.tree, vd.answer_roots)
-        return {vd.originals[h]: (vd.name, h) for h in hits}
+        return _Navigation(vd.tree, _steps_pattern(head.preds, plan.steps[1:]), vd.answer_roots)
     if isinstance(plan, Intersect):
-        parts = [_eval_plan_reps(b, docs) for b in plan.branches]
-        common = set(parts[0])
-        for part in parts[1:]:
-            common &= set(part)
-        return {orig: parts[0][orig] for orig in common}
+        return _Meet([_compile(b, docs) for b in plan.branches])
     if isinstance(plan, Compensated):
-        # Copies of one original hold equal subtrees, so any copy will do:
-        # one navigation per view document, from all its copies at once.
-        by_view: dict[str, list[int]] = {}
-        for name, copy_id in _eval_plan_reps(plan.base, docs).values():
-            by_view.setdefault(name, []).append(copy_id)
-        steps = _steps_pattern((), plan.steps)
-        out: dict[int, tuple[str, int]] = {}
-        for name, copies in by_view.items():
-            vd = docs[name]
-            for h in _embed(steps, vd.tree, copies):
-                out[vd.originals[h]] = (name, h)
-        return out
+        base = _compile(plan.base, docs)
+        return _Navigation(base.store, _steps_pattern((), plan.steps), base)
     raise TypeError(type(plan))
+
+
+class _Meet:
+    """An intersection, its branches ordered cheapest first."""
+
+    def __init__(self, branches: list):
+        self.branches = sorted(branches, key=lambda b: b.cost)
+        # Every answer lies in every branch's store with its subtree.
+        self.store = self.branches[0].store
+        self.cost = self.branches[0].cost
+
+    def run(self) -> set[int]:
+        first, *rest = self.branches
+        ids = first.run()
+        for b in rest:
+            if not ids:
+                break
+            # check each id, unless the branch is cheaper to enumerate
+            ids = ids & b.run() if b.cost < len(ids) else {x for x in ids if b.has(x)}
+        return ids
+
+    def has(self, x: int) -> bool:
+        return all(b.has(x) for b in self.branches)
+
+
+class _Navigation:
+    """The pattern of ``doc(v)/v[preds]/steps`` from a view's answer roots,
+    or of ``(base)/steps`` from the answers of another plan, in one store.
+
+    ``fits(n, x)`` holds when store node ``x`` satisfies the text test and
+    the predicates of pattern node ``n``; each pair is decided once.  Labels
+    are checked where nodes are drawn, and the root's label is unused.
+    """
+
+    def __init__(self, store: XmlTree, p: Pattern, start: tuple[int, ...] | _Meet | _Navigation):
+        # ``start`` is a view's sorted answer-root ids, or the base plan
+        self.store = store
+        self.roots = start if isinstance(start, tuple) else None
+        self.base = None if self.roots is not None else start
+        self.mb = main_branch(p)
+        self.axes = [p.axis(a, b) for a, b in zip(self.mb, self.mb[1:])]
+        self.labels = {n: p.label(n) for n in p.nodes}
+        self.tests = {n: p.test(n) for n in p.nodes}
+        self.preds = {n: [(b, k, p.label(b)) for b, k in p.pred_edges(n)] for n in p.nodes}
+        # pattern nodes whose store nodes need no test beyond the label
+        self.plain = {n for n in p.nodes if not self.preds[n] and self.tests[n] is None}
+        self.deep = DESC in self.axes
+        self.cost = len(self.roots) if self.base is None else self.base.cost
+        self._fit: dict[int, dict[int, bool]] = {n: {} for n in p.nodes}
+        self._has: dict[int, bool] = {}
+
+    def fits(self, pn: int, x: int) -> bool:
+        memo = self._fit[pn]
+        got = memo.get(x)
+        if got is None:
+            t, plain = self.store, self.plain
+            got = self.tests[pn] is None or t.texts[x] == self.tests[pn]
+            if got:
+                for b, axis, label in self.preds[pn]:
+                    for y in t.children[x] if axis == CHILD else t.below(x, label):
+                        if t.labels[y] == label and (b in plain or self.fits(b, y)):
+                            break
+                    else:
+                        got = False
+                        break
+            memo[x] = got
+        return got
+
+    def _starts_at(self, x: int) -> bool:
+        if self.base is not None:
+            return self.base.has(x)
+        i = bisect_left(self.roots, x)
+        return i < len(self.roots) and self.roots[i] == x
+
+    def run(self) -> set[int]:
+        """Navigate forward from the start nodes."""
+        t, mb = self.store, self.mb
+        xs = self.roots if self.base is None else self.base.run()
+        for i, pn in enumerate(mb):
+            if i:
+                label = self.labels[pn]
+                if self.axes[i - 1] == CHILD:
+                    xs = [c for x in xs for c in t.children[x] if t.labels[c] == label]
+                else:
+                    xs = [y for x in t.outermost(xs) for y in t.below(x, label)]
+            if pn not in self.plain:
+                xs = [x for x in xs if self.fits(pn, x)]
+        return set(xs)
+
+    def has(self, x: int) -> bool:
+        """Whether ``x`` is an answer: climb the main branch upward from it
+        to a start node."""
+        got = self._has.get(x)
+        if got is None:
+            got = self._has[x] = self._climb(x)
+        return got
+
+    def _climb(self, x: int) -> bool:
+        t, mb = self.store, self.mb
+        if x not in t.labels:
+            return False
+        # x and its ancestors in the store, as far up as the pattern reaches
+        path = [x]
+        up = t.parent[x]
+        while up is not None and (self.deep or len(path) < len(mb)):
+            path.append(up)
+            up = t.parent[up]
+        at = [0]  # the positions on ``path`` that can take mb[i]
+        for i in range(len(mb) - 1, -1, -1):
+            if i == len(mb) - 1:
+                js = at
+            elif self.axes[i] == CHILD:
+                js = [j + 1 for j in at if j + 1 < len(path)]
+            else:
+                js = range(at[0] + 1, len(path))
+            pn, label = mb[i], self.labels[mb[i]]
+            at = [
+                j
+                for j in js
+                if (t.labels[path[j]] == label if i else self._starts_at(path[j]))
+                and (pn in self.plain or self.fits(pn, path[j]))
+            ]
+            if not at:
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------

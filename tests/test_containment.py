@@ -3,6 +3,8 @@ import random
 
 from xpviews import (
     EMPTY,
+    apply_rules,
+    dag_contained_in_dag,
     dag_from_expr,
     equivalent,
     find_mapping,
@@ -20,10 +22,11 @@ from xpviews.containment import (
     dag_contained_in_tree,
     root_mapping_out_images,
 )
-from xpviews.pattern import canon_key, main_branch, compensate_pattern, lossless_prefixes
+from xpviews.interleaving import first_interleaving
+from xpviews.pattern import canon_key, compensate_pattern, dag_intersect, lossless_prefixes, main_branch
 from xpviews.syntax import parse
 
-from conftest import random_tree_pattern
+from conftest import random_dag_corpus, random_tree_pattern
 
 V1 = 'doc("L")//paper//section'
 V2 = 'doc("L")//section[theorem]'
@@ -157,3 +160,19 @@ def test_equivalent_modulo_redundancy():
     b = tree_from_text('doc("D")//x[a/b]')
     assert equivalent(a, b)
     assert not equivalent(a, tree_from_text('doc("D")//x[a]'))
+
+
+def test_unsatisfiable_dags_are_equivalent_to_empty():
+    # //a/c & //b/c has no interleaving (c has one parent), so it denotes
+    # the empty set, as does every corpus DAG the rules reduce to EMPTY
+    d = dag_intersect([tree_from_text('doc("L")//a/c'), tree_from_text('doc("L")//b/c')])
+    assert d is not EMPTY and first_interleaving(d) is None
+    corpus = [dag for _, dag, _ in random_dag_corpus(20240811, 500)]
+    unsat = [d] + [dag for dag in corpus if apply_rules(dag)[0] is EMPTY]
+    assert len(unsat) == 283
+    for dag in unsat:
+        assert dag_contained_in_dag(dag, EMPTY)
+        assert equivalent(dag, EMPTY) and equivalent(EMPTY, dag)
+    # a satisfiable pattern is not empty
+    tree = tree_from_text('doc("L")//a/c')
+    assert not dag_contained_in_dag(tree, EMPTY) and not equivalent(tree, EMPTY)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xpviews import (
     EMPTY,
@@ -20,9 +21,9 @@ from xpviews import (
     tree_from_text,
     unfold_expr,
 )
-from xpviews.documents import UnsupportedXml
+from xpviews.documents import UnsupportedXml, _embed, _steps_pattern
 from xpviews.pattern import main_branch
-from xpviews.syntax import parse
+from xpviews.syntax import CHILD, DESC, Compensated, Intersect, Path, Pred, Step, parse, print_expr
 
 from conftest import brute_eval, random_tree_pattern
 
@@ -101,13 +102,46 @@ def test_dag_of_views_returns_right_sections(lib_tree):
 def test_materialize_copies_subtrees(lib_tree):
     views = ViewSet.from_texts(V10)
     vd = materialize_view(views["v2"], "v2", lib_tree)
-    assert vd.tree.labels[vd.tree.root] == "v2"
     assert len(vd.answer_roots) == 2
-    for copy in vd.answer_roots:
-        orig = vd.originals[copy]
+    store = vd.tree
+    for orig in vd.answer_roots:
         assert lib_tree.labels[orig] == "section"
-        # the whole subtree is copied with original ids recorded
-        assert len(vd.tree.subtree_nodes(copy)) == len(lib_tree.subtree_nodes(orig))
+        # the whole subtree is held under its original ids
+        assert sorted(store.subtree_nodes(orig)) == sorted(lib_tree.subtree_nodes(orig))
+        for n in store.subtree_nodes(orig):
+            assert (store.labels[n], store.texts[n]) == (lib_tree.labels[n], lib_tree.texts[n])
+    # and nothing else
+    assert store.size() == sum(len(lib_tree.subtree_nodes(a)) for a in vd.answer_roots)
+
+
+def test_nested_answers_are_held_once():
+    # Every node of a 2,000-deep chain of <a> is an answer of //a; copying
+    # each answer's subtree would hold about 2*10^6 nodes.
+    from xpviews.documents import view_document_from_xml, view_document_to_xml
+
+    depth = 2_000
+    t = parse_xml("<L>" + "<a>" * depth + "</a>" * depth + "</L>")
+    docs = materialize_all(ViewSet.from_texts({"v": 'doc("L")//a'}), t)
+    vd = docs["v"]
+    assert vd.tree.size() <= t.size() and len(vd.answer_roots) == depth
+    for plan, query in [
+        ('doc("v")/v/a', 'doc("L")//a/a'),
+        ('doc("v")/v[a]', 'doc("L")//a[a]'),
+        ('(doc("v")/v)//a', 'doc("L")//a//a'),
+    ]:
+        want = eval_tree_pattern(tree_from_text(query), t)
+        assert len(want) == depth - 1
+        assert eval_plan(parse(plan), docs) == want
+    # serialized once, each answer root marked
+    text = view_document_to_xml(vd)
+    assert text.count("<a>") == depth and text.count("<__origid>") == depth
+    back = view_document_from_xml(text, t)
+    assert back.answer_roots == vd.answer_roots
+    assert _held(back.tree) == _held(vd.tree)
+
+
+def _held(store):
+    return store.labels, store.texts, store.parent, store.children
 
 
 def test_plan_eval_equals_direct(lib_tree):
@@ -152,8 +186,8 @@ def test_plan_eval_agrees_with_unfold_on_random_instances():
         assert eval_plan(plan, docs) == want
 
     # Head predicates (text constants, // predicates), compensations after
-    # an intersection, and a view with nested answers, whose document holds
-    # several copies of one original node; the oracle is exhaustive search
+    # an intersection, and a view with nested answers, whose store holds
+    # nodes of several answer subtrees once; the oracle is exhaustive search
     # over the unfolded plan.
     rng = random.Random(23)
     answered = [0, 0, 0, 0]
@@ -173,8 +207,10 @@ def test_plan_eval_agrees_with_unfold_on_random_instances():
             }
         )
         docs = materialize_all(views, t)
-        copied = list(docs["w3"].originals.values())
-        nested_copies += len(copied) > len(set(copied))
+        # some answer of w3 lies inside another, so its nodes belong to
+        # several answer subtrees
+        roots = docs["w3"].answer_roots
+        nested_copies += len(docs["w3"].tree.outermost(roots)) < len(roots)
 
         def head(name):
             pred = _random_pred_text(rng) if rng.random() < 0.6 else ""
@@ -287,11 +323,9 @@ def test_view_document_xml_round_trip(lib_tree):
     assert "__origid" in text
     back = view_document_from_xml(text, lib_tree)
     assert back.name == vd.name
-    assert [back.originals[a] for a in back.answer_roots] == [
-        vd.originals[a] for a in vd.answer_roots
-    ]
+    assert back.answer_roots == vd.answer_roots
     # deep originals are recovered as well
-    assert sorted(back.originals.values()) == sorted(vd.originals.values())
+    assert _held(back.tree) == _held(vd.tree)
     docs = {"v2": back}
     got = eval_plan(parse('doc("v2")/v2'), docs)
     assert got == eval_tree_pattern(views["v2"], lib_tree)
@@ -313,12 +347,13 @@ def test_deep_chain_round_trip():
     assert t.size() == depth + 2
     views = ViewSet.from_texts({"v": 'doc("L")//b'})
     vd = materialize_view(views["v"], "v", t)
-    assert vd.tree.size() == below + 2
+    assert vd.tree.size() == below + 1
     xml = view_document_to_xml(vd)
     assert xml.count("<a>") == below - 1
     back = view_document_from_xml(xml, t)
-    assert back.originals == vd.originals and back.answer_roots == vd.answer_roots
-    assert print_xml(back.tree) == print_xml(vd.tree)
+    assert _held(back.tree) == _held(vd.tree) and back.answer_roots == vd.answer_roots
+    (b,) = vd.answer_roots
+    assert print_xml(back.tree, b) == print_xml(vd.tree, b)
     want = eval_tree_pattern(tree_from_text('doc("L")//b//a[c]'), t)
     assert len(want) == 1
     assert eval_plan(parse('doc("v")/v//a[c]'), {"v": back}) == want
@@ -364,3 +399,98 @@ def test_text_predicate_existential_semantics():
     p = tree_from_text('doc("L")/a[b="x"]')
     hits = eval_tree_pattern(p, t)
     assert len(hits) == 1
+
+
+# ---------------------------------------------------------------------------
+# plan evaluation against its definition on the base document
+
+LABELS = ("a", "b")
+
+
+def _random_preds(rng, depth=2):
+    preds = []
+    while depth and rng.random() < 0.2:
+        steps = [
+            Step(rng.choice(LABELS), rng.choice((CHILD, DESC)), _random_preds(rng, depth - 1))
+            for _ in range(rng.randint(1, 2))
+        ]
+        preds.append(Pred(tuple(steps), rng.choice("xy") if rng.random() < 0.3 else None))
+    return tuple(preds)
+
+
+def _random_steps(rng, n, out):
+    """``n`` random steps, the last labelled ``out``."""
+    labels = [rng.choice(LABELS) for _ in range(n - 1)] + [out]
+    return tuple(Step(x, rng.choice((CHILD, DESC)), _random_preds(rng)) for x in labels)
+
+
+def _random_plan(rng, views, depth, out):
+    """A random plan whose answers are labelled ``out``."""
+    r = rng.random()
+    if depth == 0 or r < 0.5:
+        name = rng.choice(list(views))
+        v = views[name]
+        fits = v.label(v.out) == out
+        head = Step(name, CHILD, _random_preds(rng))
+        steps = _random_steps(rng, rng.randint(0 if fits else 1, 2), out)
+        return Path(name, (head,) + steps)
+    if r < 0.8:
+        return Intersect(
+            tuple(_random_plan(rng, views, depth - 1, out) for _ in range(rng.choice((2, 2, 3))))
+        )
+    base = _random_plan(rng, views, depth - 1, rng.choice(LABELS))
+    return Compensated(base, _random_steps(rng, rng.randint(1, 2), out))
+
+
+def _plan_on_base(plan, views, t):
+    """The plan's meaning, evaluated on the base document: a view's answers,
+    then navigation downward from them."""
+    if isinstance(plan, Path):
+        head = plan.steps[0]
+        starts = eval_tree_pattern(views[plan.doc], t)
+        return _embed(_steps_pattern(head.preds, plan.steps[1:]), t, starts)
+    if isinstance(plan, Intersect):
+        return set.intersection(*(_plan_on_base(b, views, t) for b in plan.branches))
+    return _embed(_steps_pattern((), plan.steps), t, _plan_on_base(plan.base, views, t))
+
+
+def _deep_narrow_xml(rng, depth):
+    # a chain with an occasional leaf beside it, some leaves carrying text
+    chain = [rng.choice(LABELS) for _ in range(depth)]
+    parts = []
+    for label in chain:
+        if rng.random() < 0.3:
+            leaf = rng.choice(LABELS)
+            parts.append(f"<{leaf}>{rng.choice('xy')}</{leaf}>" if rng.random() < 0.5 else f"<{leaf}/>")
+        parts.append(f"<{label}>")
+    return "<L>" + "".join(parts) + "".join(f"</{x}>" for x in reversed(chain)) + "</L>"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), deep=st.booleans())
+def test_plan_eval_equals_definition_property(seed, deep):
+    rng = random.Random(seed)
+    if deep:
+        t = parse_xml(_deep_narrow_xml(rng, rng.randint(20, 300)))
+    else:
+        # generate_tree numbers a node's children together, so its ids are
+        # not preorder ranks
+        t = generate_tree(
+            TreeGenConfig(depth=rng.randint(4, 7), fanout=3, labels=LABELS, seed=rng.randrange(10**6))
+        )
+    views = ViewSet(
+        {
+            "w1": random_tree_pattern(rng, mb_len=rng.randint(1, 3), labels=LABELS, dd_prob=0.7),
+            "w2": random_tree_pattern(rng, mb_len=rng.randint(1, 2), labels=LABELS, dd_prob=0.7),
+            # answers that nest
+            "w3": tree_from_text(f'doc("L")//{rng.choice(LABELS)}'),
+            "w4": tree_from_text(f'doc("L")//{rng.choice(LABELS)}'),
+        }
+    )
+    # w1 and w2 share a store; w3 and w4 are materialized on their own
+    docs = materialize_all(ViewSet({n: views[n] for n in ("w1", "w2")}), t)
+    for name in ("w3", "w4"):
+        docs[name] = materialize_view(views[name], name, t)
+    for _ in range(6):
+        plan = _random_plan(rng, views, 3, rng.choice(LABELS))
+        assert eval_plan(plan, docs) == _plan_on_base(plan, views, t), print_expr(plan)

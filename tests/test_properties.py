@@ -8,6 +8,7 @@ from xpviews import (
     TreeGenConfig,
     ViewSet,
     dag_contained_in_tree,
+    eval_plan,
     eval_tree_pattern,
     generate_tree,
     materialize_all,
@@ -15,7 +16,6 @@ from xpviews import (
     tree_from_text,
     unfold_expr,
 )
-from xpviews.documents import _eval_plan_reps
 from xpviews.fragments import FragmentClass, are_akin, classify, extended_skeleton
 from xpviews.pattern import lossless_prefixes, main_branch
 from xpviews.rewrite import _plan_expr, _view_pairs, _skeleton_views
@@ -59,15 +59,13 @@ def test_plan_intermediate_results_stay_bounded():
     views = ViewSet.from_texts(V10)
     docs = materialize_all(views, t)
     plan = parse('(doc("v1")/v1 & doc("v2")/v2)//figure/image & doc("v3")/v3')
-    branch_sizes = [
-        len(_eval_plan_reps(b, docs)) for b in plan.branches
-    ]
-    inter = _eval_plan_reps(plan, docs)
+    branch_sizes = [len(eval_plan(b, docs)) for b in plan.branches]
+    inter = eval_plan(plan, docs)
     assert len(inter) <= max(branch_sizes + [0])
     # each intersection's output is a set no larger than its largest input
     left = plan.branches[0]
-    left_sizes = [len(_eval_plan_reps(b, docs)) for b in left.base.branches]
-    assert len(_eval_plan_reps(left.base, docs)) <= max(left_sizes + [0])
+    left_sizes = [len(eval_plan(b, docs)) for b in left.base.branches]
+    assert len(eval_plan(left.base, docs)) <= max(left_sizes + [0])
 
 
 def test_skeleton_reduction_preserves_rewriting_existence():
