@@ -177,12 +177,12 @@ def dag_contained_in_tree(d, p: Pattern) -> bool:
 
 def dag_contained_in_dag(d1, d2) -> bool:
     """d1 ⊑ d2 via interleavings of the left side."""
-    from .interleaving import first_interleaving, interleavings
+    from .interleaving import interleavings, is_satisfiable
 
     if d1 is EMPTY:
         return True
-    if d2 is EMPTY:  # d1 denotes the empty set iff it has no interleaving
-        return first_interleaving(d1) is None
+    if d2 is EMPTY:
+        return not is_satisfiable(d1)
     for i in interleavings(d1):
         if find_mapping(d2, i.pattern, CONTAINMENT) is None:
             return False

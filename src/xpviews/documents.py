@@ -33,7 +33,6 @@ class XmlTree:
         self.parent: dict[int, Optional[int]] = {}
         self.root: int = -1
         self._next = 0
-        self._by_label: Optional[dict[str, list[int]]] = None
         self._rank: Optional[dict[int, int]] = None
         self._end: dict[int, int] = {}
         self._ranked: dict[str, tuple[list[int], list[int]]] = {}
@@ -53,21 +52,10 @@ class XmlTree:
         return nid
 
     def _dirty(self) -> None:
-        self._by_label = None
         self._rank = None
 
     def size(self) -> int:
         return len(self.labels)
-
-    def _label_index(self) -> dict[str, list[int]]:
-        # Lists rather than sets: documents reach millions of nodes.
-        idx = self._by_label
-        if idx is None:
-            idx = {}
-            for n, lab in self.labels.items():
-                idx.setdefault(lab, []).append(n)
-            self._by_label = idx
-        return idx
 
     def _index(self) -> None:
         # Preorder ranks over every parentless node: the subtree of n is the
@@ -91,13 +79,25 @@ class XmlTree:
             nodes.append(n)
         self._rank, self._end, self._ranked = rank, end, ranked
 
-    def below(self, n: int, label: str) -> list[int]:
-        """The strict descendants of ``n`` labelled ``label``, in preorder."""
+    def nodes_labelled(self, label: str) -> list[int]:
+        """The nodes labelled ``label``, in preorder."""
         if self._rank is None:
             self._index()
-        ranks, nodes = self._ranked.get(label, ((), ()))
+        return self._ranked.get(label, ((), []))[1]
+
+    def span(self, n: int, label: str) -> tuple[list[int], int, int]:
+        """The preorder list of ``label``'s nodes, and the bounds of the
+        slice of it that lies strictly below ``n``."""
+        if self._rank is None:
+            self._index()
+        ranks, nodes = self._ranked.get(label, ((), []))
         lo = bisect_right(ranks, self._rank[n])
-        return nodes[lo : bisect_left(ranks, self._end[n], lo)]
+        return nodes, lo, bisect_left(ranks, self._end[n], lo)
+
+    def below(self, n: int, label: str) -> list[int]:
+        """The strict descendants of ``n`` labelled ``label``, in preorder."""
+        nodes, lo, hi = self.span(n, label)
+        return nodes[lo:hi]
 
     def outermost(self, nodes: Iterable[int]) -> list[int]:
         """The nodes of ``nodes`` without a strict ancestor among them, in
@@ -208,9 +208,8 @@ def _candidate_sets(
     root's pool is ``starts``, whatever their labels."""
     order = p.topo_order()
     cand: dict[int, set[int]] = {}
-    idx = t._label_index()
     for pn in reversed(order):
-        base = set(starts) if pn == p.root else set(idx.get(p.label(pn), ()))
+        base = set(starts) if pn == p.root else set(t.nodes_labelled(p.label(pn)))
         req = p.test(pn)
         if req is not None:
             base = {x for x in base if t.texts[x] == req}
@@ -468,10 +467,9 @@ def eval_plan(plan: Expr, docs: dict[str, ViewDocument]) -> set[int]:
 
     The result is a set of original node ids in the base document.
     Intersections intersect original ids, and navigation stays inside a
-    view's answer subtrees.  An intersection enumerates its cheapest branch
-    first.  Every other branch checks each surviving id by climbing from it
-    towards an answer root of its view (a semi-join), unless the branch
-    costs less to enumerate than the ids left to check.
+    view's answer subtrees.  An intersection enumerates only its cheapest
+    branch.  Every other branch checks each surviving id by climbing from it
+    towards an answer root of its view (a semi-join).
     """
     return _compile(plan, docs).run()
 
@@ -508,8 +506,7 @@ class _Meet:
         for b in rest:
             if not ids:
                 break
-            # check each id, unless the branch is cheaper to enumerate
-            ids = ids & b.run() if b.cost < len(ids) else {x for x in ids if b.has(x)}
+            ids = {x for x in ids if b.has(x)}
         return ids
 
     def has(self, x: int) -> bool:
@@ -537,10 +534,13 @@ class _Navigation:
         self.preds = {n: [(b, k, p.label(b)) for b, k in p.pred_edges(n)] for n in p.nodes}
         # pattern nodes whose store nodes need no test beyond the label
         self.plain = {n for n in p.nodes if not self.preds[n] and self.tests[n] is None}
-        self.deep = DESC in self.axes
         self.cost = len(self.roots) if self.base is None else self.base.cost
         self._fit: dict[int, dict[int, bool]] = {n: {} for n in p.nodes}
-        self._has: dict[int, bool] = {}
+        # per main-branch position i: store node -> whether it takes mb[i]
+        # below a match of mb[:i] (``_at``), or whether it or an ancestor
+        # does (``_up``)
+        self._at_memo: list[dict[int, bool]] = [{} for _ in self.mb]
+        self._up_memo: list[dict[int, bool]] = [{} for _ in self.mb]
 
     def fits(self, pn: int, x: int) -> bool:
         memo = self._fit[pn]
@@ -548,14 +548,20 @@ class _Navigation:
         if got is None:
             t, plain = self.store, self.plain
             got = self.tests[pn] is None or t.texts[x] == self.tests[pn]
-            if got:
-                for b, axis, label in self.preds[pn]:
-                    for y in t.children[x] if axis == CHILD else t.below(x, label):
-                        if t.labels[y] == label and (b in plain or self.fits(b, y)):
-                            break
+            for b, axis, label in self.preds[pn] if got else ():
+                if axis == CHILD:
+                    got = any(
+                        t.labels[y] == label and (b in plain or self.fits(b, y))
+                        for y in t.children[x]
+                    )
+                else:
+                    nodes, lo, hi = t.span(x, label)
+                    if b in plain:
+                        got = lo < hi
                     else:
-                        got = False
-                        break
+                        got = any(self.fits(b, nodes[k]) for k in range(lo, hi))
+                if not got:
+                    break
             memo[x] = got
         return got
 
@@ -583,39 +589,37 @@ class _Navigation:
     def has(self, x: int) -> bool:
         """Whether ``x`` is an answer: climb the main branch upward from it
         to a start node."""
-        got = self._has.get(x)
+        return x in self.store.labels and self._at(len(self.mb) - 1, x)
+
+    def _at(self, i: int, x: int) -> bool:
+        memo = self._at_memo[i]
+        got = memo.get(x)
         if got is None:
-            got = self._has[x] = self._climb(x)
+            pn = self.mb[i]
+            got = self.store.labels[x] == self.labels[pn] if i else self._starts_at(x)
+            got = got and (pn in self.plain or self.fits(pn, x))
+            if got and i:
+                up = self.store.parent[x]
+                got = up is not None and (
+                    self._at(i - 1, up) if self.axes[i - 1] == CHILD else self._up(i - 1, up)
+                )
+            memo[x] = got
         return got
 
-    def _climb(self, x: int) -> bool:
-        t, mb = self.store, self.mb
-        if x not in t.labels:
-            return False
-        # x and its ancestors in the store, as far up as the pattern reaches
-        path = [x]
-        up = t.parent[x]
-        while up is not None and (self.deep or len(path) < len(mb)):
-            path.append(up)
-            up = t.parent[up]
-        at = [0]  # the positions on ``path`` that can take mb[i]
-        for i in range(len(mb) - 1, -1, -1):
-            if i == len(mb) - 1:
-                js = at
-            elif self.axes[i] == CHILD:
-                js = [j + 1 for j in at if j + 1 < len(path)]
-            else:
-                js = range(at[0] + 1, len(path))
-            pn, label = mb[i], self.labels[mb[i]]
-            at = [
-                j
-                for j in js
-                if (t.labels[path[j]] == label if i else self._starts_at(path[j]))
-                and (pn in self.plain or self.fits(pn, path[j]))
-            ]
-            if not at:
-                return False
-        return True
+    def _up(self, i: int, x: Optional[int]) -> bool:
+        # Every node climbed past is memoised, so each is climbed once per i.
+        memo, parent = self._up_memo[i], self.store.parent
+        path = []
+        while x is not None and x not in memo:
+            if self._at(i, x):
+                memo[x] = True
+                break
+            path.append(x)
+            x = parent[x]
+        got = x is not None and memo[x]
+        for y in path:
+            memo[y] = got
+        return got
 
 
 # ---------------------------------------------------------------------------

@@ -116,22 +116,34 @@ def test_materialize_copies_subtrees(lib_tree):
 
 def test_nested_answers_are_held_once():
     # Every node of a 2,000-deep chain of <a> is an answer of //a; copying
-    # each answer's subtree would hold about 2*10^6 nodes.
+    # each answer's subtree would hold about 2*10^6 nodes.  Only the top <a>
+    # has a <b> child.
+    import time
+
     from xpviews.documents import view_document_from_xml, view_document_to_xml
 
     depth = 2_000
-    t = parse_xml("<L>" + "<a>" * depth + "</a>" * depth + "</L>")
-    docs = materialize_all(ViewSet.from_texts({"v": 'doc("L")//a'}), t)
+    t = parse_xml("<L><a><b/>" + "<a>" * (depth - 1) + "</a>" * depth + "</L>")
+    views = ViewSet.from_texts({"v": 'doc("L")//a', "w": 'doc("L")/a'})
+    docs = materialize_all(views, t)
     vd = docs["v"]
     assert vd.tree.size() <= t.size() and len(vd.answer_roots) == depth
     for plan, query in [
         ('doc("v")/v/a', 'doc("L")//a/a'),
         ('doc("v")/v[a]', 'doc("L")//a[a]'),
         ('(doc("v")/v)//a', 'doc("L")//a//a'),
+        ('doc("v")/v[.//a]', 'doc("L")//a[.//a]'),
+        # the single start of w is enumerated; each of its 1,999 answers is
+        # checked against v[b]//a, whose only start is the top of the chain
+        ('doc("w")/w//a & doc("v")/v[b]//a', 'doc("L")/a[b]//a'),
     ]:
         want = eval_tree_pattern(tree_from_text(query), t)
         assert len(want) == depth - 1
+        t0 = time.perf_counter()
         assert eval_plan(parse(plan), docs) == want
+        # linear work takes milliseconds; a climb or a pool copied per
+        # answer (quadratic in the depth) takes seconds
+        assert time.perf_counter() - t0 < 0.5, plan
     # serialized once, each answer root marked
     text = view_document_to_xml(vd)
     assert text.count("<a>") == depth and text.count("<__origid>") == depth
