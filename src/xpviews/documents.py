@@ -536,6 +536,7 @@ class _Navigation:
         self.plain = {n for n in p.nodes if not self.preds[n] and self.tests[n] is None}
         self.cost = len(self.roots) if self.base is None else self.base.cost
         self._fit: dict[int, dict[int, bool]] = {n: {} for n in p.nodes}
+        self._skip: dict[int, dict[int, int]] = {n: {} for n in p.nodes}
         # per main-branch position i: store node -> whether it takes mb[i]
         # below a match of mb[:i] (``_at``), or whether it or an ancestor
         # does (``_up``)
@@ -556,14 +557,29 @@ class _Navigation:
                     )
                 else:
                     nodes, lo, hi = t.span(x, label)
-                    if b in plain:
-                        got = lo < hi
-                    else:
-                        got = any(self.fits(b, nodes[k]) for k in range(lo, hi))
+                    got = lo < hi if b in plain else self._fits_in(b, nodes, lo, hi)
                 if not got:
                     break
             memo[x] = got
         return got
+
+    def _fits_in(self, pn: int, nodes: list[int], lo: int, hi: int) -> bool:
+        """Whether a node of ``nodes[lo:hi]`` fits ``pn``.  Known misses are
+        jumped over, so nested spans do not rescan them."""
+        skip = self._skip[pn]  # position -> a later one; all between are misses
+        passed = []
+        k = lo
+        while k < hi:
+            j = skip.get(k)
+            if j is None:
+                if self.fits(pn, nodes[k]):
+                    break
+                j = k + 1
+            passed.append(k)
+            k = j
+        for i in passed:
+            skip[i] = k
+        return k < hi
 
     def _starts_at(self, x: int) -> bool:
         if self.base is not None:

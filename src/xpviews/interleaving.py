@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .syntax import CHILD, DESC
-from .pattern import EMPTY, CapExceeded, Pattern, canon_key, _copy_subtree
+from .pattern import EMPTY, CapExceeded, Pattern, _copy_into, _subtree, canon_key
 
 DEFAULT_CAP = 10**6
 
@@ -152,7 +152,7 @@ def _build(d: Pattern, placement: dict[int, int]) -> Interleaving:
                 if key in seen:
                     continue
                 seen.add(key)
-                _copy_subtree(p, d, b, nid, kk)
+                p.add_edge(nid, _copy_into(p, d, _subtree(d, b))[b], kk)
     p.root = spine[0]
     p.out = spine[placement[d.out]]
     code = "".join(

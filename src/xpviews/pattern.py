@@ -371,16 +371,29 @@ class ViewSet:
         return sorted(self.defs.items())
 
 
-def _copy_into(dst: Pattern, src: Pattern, keep: Optional[Iterable[int]] = None) -> dict[int, int]:
-    """Copy ``src`` into ``dst``, or only its nodes in ``keep`` and the edges
-    among them; returns the id translation.  Nodes are added in id order."""
-    ren: dict[int, int] = {}
-    for n in sorted(src.nodes if keep is None else keep):
-        ren[n] = dst.add_node(src.nodes[n].label, src.nodes[n].test)
-    for a, b, k in src.edges:
-        if a in ren and b in ren:
+def _copy_into(dst: Pattern, src: Pattern, nodes: Optional[Iterable[int]] = None) -> dict[int, int]:
+    """Copy ``src`` into ``dst``, or only ``nodes`` and the edges among them;
+    returns the id translation.  Nodes are added in the order given (id
+    order for a whole pattern).  ``dst`` may be ``src``: the edges are read
+    before anything is added."""
+    nodes = sorted(src.nodes) if nodes is None else list(nodes)
+    edges = [(a, b, k) for a in nodes for b, k in src.out_edges(a)]
+    ren = {n: dst.add_node(src.nodes[n].label, src.nodes[n].test) for n in nodes}
+    for a, b, k in edges:
+        if b in ren:
             dst.add_edge(ren[a], ren[b], k)
     return ren
+
+
+def _subtree(p: Pattern, n: int) -> list[int]:
+    """``n`` and the nodes below it in preorder; ``n`` heads a predicate
+    subtree, so each is reached once."""
+    order, stack = [], [n]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(b for b, _ in reversed(p.out_edges(x)))
+    return order
 
 
 def _merge_nodes(p: Pattern, keep: int, gone: int) -> None:
@@ -402,6 +415,30 @@ def _merge_nodes(p: Pattern, keep: int, gone: int) -> None:
     if p.out == gone:
         p.out = keep
     p._dirty()
+
+
+def _merge_run(p: Pattern, pairs: Iterable[tuple[int, int]], merge=_merge_nodes):
+    """Merge each (keep, gone) pair of ``p`` in place, in order.  Pairs name
+    nodes as they were before the run, so each follows earlier merges.
+
+    Returns the translation of old ids to surviving ones, or None when
+    ``merge`` refuses a pair by returning False.
+    """
+    alias: dict[int, int] = {}
+
+    def res(n: int) -> int:
+        while n in alias:
+            n = alias[n]
+        return n
+
+    for keep, gone in pairs:
+        keep, gone = res(keep), res(gone)
+        if keep == gone:
+            continue
+        if merge(p, keep, gone) is False:
+            return None
+        alias[gone] = keep
+    return res
 
 
 def collapse(d: Pattern, n1: int, n2: int) -> Pattern:
@@ -434,15 +471,12 @@ def dag_intersect(parts: list[Pattern]):
         # One branch answers document roots, another answers strictly below.
         return EMPTY
     acc = Pattern()
-    ren0 = _copy_into(acc, parts[0])
-    acc.root = ren0[parts[0].root]
-    acc.out = ren0[parts[0].out]
-    for q in parts[1:]:
-        ren = _copy_into(acc, q)
-        r, o = ren[q.root], ren[q.out]
-        _merge_nodes(acc, acc.root, r)
-        if o != r:
-            _merge_nodes(acc, acc.out, o)
+    rens = [_copy_into(acc, q) for q in parts]
+    acc.root, acc.out = rens[0][parts[0].root], rens[0][parts[0].out]
+    pairs = []
+    for q, ren in zip(parts[1:], rens[1:]):
+        pairs += [(acc.root, ren[q.root]), (acc.out, ren[q.out])]
+    _merge_run(acc, pairs)
     return acc
 
 
@@ -542,7 +576,7 @@ def tokens(p: Pattern) -> list[Token]:
 def _subpattern_with_map(d: Pattern, n: int) -> tuple[Pattern, dict[int, int]]:
     """SUB(d, n) and the translation of ``d``'s ids into it."""
     p = Pattern()
-    ren = _copy_into(p, d, d.descendants(n) | {n})
+    ren = _copy_into(p, d, sorted(d.descendants(n) | {n}))
     p.root = ren[n]
     p.out = ren.get(d.out, p.root)
     return p, ren
@@ -556,35 +590,21 @@ def subpattern_at(d: Pattern, n: int) -> Pattern:
 def tp_of_path(d: Pattern, path: list[int]) -> Pattern:
     """Tree pattern of a main-branch path plus the predicates of its nodes."""
     p = Pattern()
-    ren: dict[int, int] = {}
-    prev = None
-    for n in path:
-        ren[n] = p.add_node(d.nodes[n].label, d.nodes[n].test)
-        if prev is not None:
-            p.add_edge(ren[prev], ren[n], d.axis(prev, n))
-        prev = n
-    for n in path:
+    spine = [p.add_node(d.nodes[n].label, d.nodes[n].test) for n in path]
+    for i in range(1, len(path)):
+        p.add_edge(spine[i - 1], spine[i], d.axis(path[i - 1], path[i]))
+    for n, at in zip(path, spine):
         for b, k in d.pred_edges(n):
-            _copy_subtree(p, d, b, ren[n], k)
-    p.root = ren[path[0]]
-    p.out = ren[path[-1]]
+            p.add_edge(at, _copy_into(p, d, _subtree(d, b))[b], k)
+    p.root, p.out = spine[0], spine[-1]
     return p
-
-
-def _copy_subtree(dst: Pattern, src: Pattern, sub_root: int, attach: int, axis: str) -> int:
-    nid = dst.add_node(src.nodes[sub_root].label, src.nodes[sub_root].test)
-    dst.add_edge(attach, nid, axis)
-    for b, k in src.out_edges(sub_root):
-        _copy_subtree(dst, src, b, nid, k)
-    return nid
 
 
 def singleton_pattern(label: str, pred_root: Pattern, pred_sub: int, axis: str) -> Pattern:
     """PATTERN(label[Q]): one node with a copy of the given predicate subtree."""
     p = Pattern()
-    p.root = p.add_node(label)
-    p.out = p.root
-    _copy_subtree(p, pred_root, pred_sub, p.root, axis)
+    p.root = p.out = p.add_node(label)
+    p.add_edge(p.root, _copy_into(p, pred_root, _subtree(pred_root, pred_sub))[pred_sub], axis)
     return p
 
 
@@ -743,9 +763,14 @@ def canon_key(p: Pattern, n: Optional[int] = None):
     (respecting labels, tests, edge kinds and the output node)."""
     if n is None:
         n = p.root
-    kids = tuple(
-        sorted((k, canon_key(p, b)) for b, k in p.out_edges(n))
-    )
-    # the empty test sorts before every text test
-    test = p.test(n)
-    return (p.label(n), (test is not None, test or ""), n == p.out, kids)
+    order = [n]
+    for x in order:  # breadth first, so children come after their parent
+        order.extend(b for b, _ in p.out_edges(x))
+    keys: dict[int, tuple] = {}
+    for x in reversed(order):
+        if x not in keys:
+            kids = tuple(sorted((k, keys[b]) for b, k in p.out_edges(x)))
+            # the empty test sorts before every text test
+            test = p.test(x)
+            keys[x] = (p.label(x), (test is not None, test or ""), x == p.out, kids)
+    return keys[n]

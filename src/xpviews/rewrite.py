@@ -20,7 +20,7 @@ from .pattern import (
     Pattern,
     ViewSet,
     _copy_into,
-    _merge_nodes,
+    _merge_run,
     _pred_of,
     compensate_expr,
     compensate_pattern,
@@ -306,36 +306,18 @@ class RewritingGraph:
     views: ViewSet
 
     def unfold(self):
-        parts = []
+        acc = self.base.clone()
+        pairs, roots = [], []
         for node, names in sorted(self.attachments.items()):
             for name in names:
                 v = self.views[name]
-                parts.append((node, v))
-        acc = self.base.clone()
-        alias: dict[int, int] = {}
-
-        def res(n: int) -> int:
-            while n in alias:
-                n = alias[n]
-            return n
-
-        roots = []
-        for node, v in parts:
-            ren = _copy_into(acc, v)
-            roots.append(ren[v.root])
-            # the view output coalesces with its attachment point
-            keep, gone = res(node), ren[v.out]
-            _merge_nodes(acc, keep, gone)
-            alias[gone] = keep
+                ren = _copy_into(acc, v)
+                roots.append(ren[v.root])
+                # the view output coalesces with its attachment point
+                pairs.append((node, ren[v.out]))
         # all view definitions read the same document: one root
-        r0 = roots[0]
-        for r in roots[1:]:
-            keep, gone = res(r0), res(r)
-            if keep != gone:
-                _merge_nodes(acc, keep, gone)
-                alias[gone] = keep
-        acc.root = res(r0)
-        acc.out = res(self.base.out)
+        res = _merge_run(acc, pairs + [(roots[0], r) for r in roots[1:]])
+        acc.root, acc.out = res(roots[0]), res(self.base.out)
         return acc
 
     def to_expr(self) -> Expr:

@@ -19,9 +19,11 @@ from .pattern import (
     EMPTY,
     CapExceeded,
     Pattern,
-    _copy_subtree,
+    _copy_into,
     _merge_nodes,
+    _merge_run,
     _subpattern_with_map,
+    _subtree,
     canon_key,
     main_branch,
     singleton_pattern,
@@ -129,27 +131,14 @@ def _collapse_inplace(d: Pattern, keep: int, gone: int) -> bool:
 
 
 def _collapse_pairs(d: Pattern, pairs: list[tuple[int, int]]):
-    """Collapse (keep, gone) pairs on a clone, tracking id aliases.
+    """Collapse (keep, gone) pairs on a clone.
 
-    Returns (pattern, alias map) or None when a merge is forced between
-    comparable nodes.
+    Returns (pattern, translation of old ids) or None when a merge is forced
+    between comparable nodes.
     """
     w = d.clone()
-    alias = {n: n for n in d.nodes}
-
-    def res(n: int) -> int:
-        while alias[n] != n:
-            n = alias[n]
-        return n
-
-    for keep, gone in pairs:
-        k, g = res(keep), res(gone)
-        if k == g:
-            continue
-        if not _collapse_inplace(w, k, g):
-            return None
-        alias[g] = k
-    return w, res
+    res = _merge_run(w, pairs, _collapse_inplace)
+    return None if res is None else (w, res)
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +169,6 @@ def _r1_forced_pair(d: Pattern) -> Optional[tuple[int, int]]:
     return None
 
 
-def _saturate_r1(d: Pattern) -> Optional[list[tuple[int, int]]]:
-    """Collapse forced pairs until none; None when a forced merge is
-    impossible (the pattern is unsatisfiable)."""
-    merged = []
-    while True:
-        pair = _r1_forced_pair(d)
-        if pair is None:
-            return merged
-        if not _collapse_inplace(d, *pair):
-            return None
-        merged.append(pair)
-
-
 def _slash_path_lengths(d: Pattern) -> bool:
     """True when two /-paths share endpoints but differ in length."""
     mbn = sorted(d.mb_nodes())
@@ -213,18 +189,20 @@ def immediately_unsatisfiable(d) -> bool:
     """Sufficient unsatisfiability test: after saturating the forced
     collapses, either two same-endpoint /-paths of different lengths exist,
     or some node has /-parents with different labels."""
-    if d is EMPTY:
+    return d is EMPTY or _unsatisfiable_after_r1(_Engine(d))
+
+
+def _unsatisfiable_after_r1(eng: "_Engine") -> bool:
+    """``immediately_unsatisfiable`` on the engine's working pattern, which
+    it saturates with the forced rule."""
+    eng.saturate_r1()
+    if eng.dead or _slash_path_lengths(eng.w):
         return True
-    w = d.clone()
-    if _saturate_r1(w) is None:
-        return True
-    if _slash_path_lengths(w):
-        return True
-    for n in sorted(w.mb_nodes()):
-        labs = {w.label(a) for a, k in w.mb_in_edges(n) if k == CHILD}
-        if len(labs) > 1:
-            return True
-    return False
+    w = eng.w
+    return any(
+        len({w.label(a) for a, k in w.mb_in_edges(n) if k == CHILD}) > 1
+        for n in sorted(w.mb_nodes())
+    )
 
 
 def collapsible(d: Pattern, n1: int, n2: int) -> bool:
@@ -246,10 +224,8 @@ def collapsible(d: Pattern, n1: int, n2: int) -> bool:
     up2 = [d.label(x) for x in _slash_run_up(d, n2)[:-1]]
     if any(a != b for a, b in zip(reversed(up1), reversed(up2))):
         return False
-    w = d.clone()
-    if not _collapse_inplace(w, n1, n2):
-        return False
-    return not immediately_unsatisfiable(w)
+    eng = _Engine(d)
+    return _collapse_inplace(eng.w, n1, n2) and not _unsatisfiable_after_r1(eng)
 
 
 def similar(d1: Pattern, d2: Pattern) -> bool:
@@ -297,12 +273,10 @@ def _build_merge(da, mba, db, mbb, s, junction) -> Pattern:
             if junction is not None and i == s:
                 axis = junction
             p.add_edge(spine[i - 1], nid, axis)
-    for i, n in enumerate(mba):
-        for b, kk in da.pred_edges(n):
-            _copy_subtree(p, da, b, spine[i], kk)
-    for j, n in enumerate(mbb):
-        for b, kk in db.pred_edges(n):
-            _copy_subtree(p, db, b, spine[s + j], kk)
+    for src, mb, at in ((da, mba, spine), (db, mbb, spine[s:])):
+        for n, nid in zip(mb, at):
+            for b, kk in src.pred_edges(n):
+                p.add_edge(nid, _copy_into(p, src, _subtree(src, b))[b], kk)
     p.root = spine[0]
     p.out = spine[-1]
     return p
@@ -398,17 +372,21 @@ class _Engine:
         return self.w.size(), len(self.w.mb_nodes())
 
     def saturate_r1(self) -> None:
-        while True:
-            pair = _r1_forced_pair(self.w)
-            if pair is None:
-                return
-            before = self.snap()
-            if not _collapse_inplace(self.w, *pair):
-                self.dead = True
-                return
-            self.record(RuleInstance("R1", {"n1": pair[0], "n2": pair[1]}), before)
+        while not self.dead and self.try_r1():
+            pass
 
     # -- rules -------------------------------------------------------------
+
+    def try_r1(self) -> bool:
+        pair = _r1_forced_pair(self.w)
+        if pair is None:
+            return False
+        before = self.snap()
+        if _collapse_inplace(self.w, *pair):
+            self.record(RuleInstance("R1", {"n1": pair[0], "n2": pair[1]}), before)
+        else:
+            self.dead = True
+        return True
 
     def try_r2(self, variant: str) -> bool:
         d = self.w
@@ -683,15 +661,14 @@ class _Engine:
                     ok = False
                     break
             if ok and not any(d.reaches(n3, x) for x in p2):
-                tp = tp_of_path(d, p2)
-                ext = tp.clone()
-                _copy_subtree(ext, d, q_root, ext.out, DESC)
+                ext = tp_of_path(d, p2)
+                ext.add_edge(ext.out, _copy_into(ext, d, _subtree(d, q_root))[q_root], DESC)
                 if find_mapping(probe, ext, ROOT_MAPPING) is None:
                     ok = False
             if not ok:
                 continue
             before = self.snap()
-            _copy_subtree(d, d, q_root, n2, q_axis)
+            d.add_edge(n2, _copy_into(d, d, _subtree(d, q_root))[q_root], q_axis)
             self.record(
                 RuleInstance(
                     "R5", {"n1": n1, "n2": n2, "n3": n3, "q": q_root}
@@ -887,7 +864,7 @@ class _Engine:
                     if not ok:
                         continue
                     before = self.snap()
-                    _copy_subtree(d, d, q_root, n, CHILD)
+                    d.add_edge(n, _copy_into(d, d, _subtree(d, q_root))[q_root], CHILD)
                     self.record(
                         RuleInstance(
                             "R9",
@@ -900,6 +877,7 @@ class _Engine:
 
     # rule name -> (method, arguments)
     RULES = {
+        "R1": (try_r1, ()),
         "R2i": (try_r2, ("R2i",)),
         "R2ii": (try_r2, ("R2ii",)),
         "R3i": (try_r3, ("R3i",)),
@@ -947,18 +925,11 @@ def _linear_maps_into_run(seq: list[tuple[str, Optional[str]]], run_labels: list
 def try_rule(rule: str, d: Pattern):
     """Attempt one rule on a copy; (new pattern, instance) or None."""
     eng = _Engine(d)
-    if rule == "R1":
-        pair = _r1_forced_pair(eng.w)
-        if pair is None:
-            return None
-        if not _collapse_inplace(eng.w, *pair):
-            return EMPTY, RuleInstance("R1", {"n1": pair[0], "n2": pair[1]})
-        return eng.w, RuleInstance("R1", {"n1": pair[0], "n2": pair[1]})
-    if eng.try_rule(rule):
-        if eng.dead:
-            return EMPTY, eng.trace[-1].instance if eng.trace else RuleInstance(rule, {})
-        return eng.w, eng.trace[-1].instance
-    return None
+    if not eng.try_rule(rule):
+        return None
+    if eng.dead:
+        return EMPTY, RuleInstance(rule, {})
+    return eng.w, eng.trace[-1].instance
 
 
 def apply_rules(d) -> tuple[object, list[TraceStep]]:

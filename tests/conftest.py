@@ -213,7 +213,15 @@ def two_branch_merges(p1: Pattern, p2: Pattern) -> set:
     next position, and the two outputs (one coalesced node) must share the
     final position.
     """
-    from xpviews.pattern import canon_key, _copy_subtree
+    from xpviews.pattern import canon_key
+
+    def copy_subtree(dst, src, sub_root, attach, axis):
+        stack = [(sub_root, attach, axis)]
+        while stack:
+            n, at, k = stack.pop()
+            nid = dst.add_node(src.nodes[n].label, src.nodes[n].test)
+            dst.add_edge(at, nid, k)
+            stack.extend((b, nid, kk) for b, kk in reversed(src.out_edges(n)))
 
     if p1.label(p1.root) != p2.label(p2.root) or p1.label(p1.out) != p2.label(p2.out):
         return set()
@@ -240,7 +248,7 @@ def two_branch_merges(p1: Pattern, p2: Pattern) -> set:
                     key = (kk, canon_key(pp, bb))
                     if key not in seen:
                         seen.add(key)
-                        _copy_subtree(q, pp, bb, nid, kk)
+                        copy_subtree(q, pp, bb, nid, kk)
         q.root = spine[0]
         q.out = spine[-1]
         return canon_key(q)

@@ -389,6 +389,28 @@ def test_descendant_steps_are_linear_in_depth():
     assert got == set(chain[2:])
 
 
+def test_descendant_predicate_tests_are_linear_in_depth():
+    # A 2*10^4-deep chain of <a> over a <c> leaf: the // predicate of every
+    # answer candidate looks at all the <a> below it, so the spans nest;
+    # each <a> that fails the predicate is passed over once, not once per
+    # span.
+    import time
+
+    from xpviews.documents import XmlTree
+
+    t = XmlTree()
+    n = t.add_node("L", None)
+    for _ in range(20_000):
+        n = t.add_node("a", n)
+    t.add_node("c", n)
+    docs = materialize_all(ViewSet.from_texts({"v": 'doc("L")/a'}), t)
+    start = time.perf_counter()
+    got = eval_plan(parse('doc("v")/v//a[.//a/c]'), docs)
+    assert time.perf_counter() - start < 2.0
+    assert got == eval_tree_pattern(tree_from_text('doc("L")/a//a[.//a/c]'), t)
+    assert len(got) == 20_000 - 2
+
+
 def test_eval_sees_nodes_added_after_an_evaluation():
     t = parse_xml("<L><a/></L>")
     below_a = tree_from_text('doc("L")/a//a')

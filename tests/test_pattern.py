@@ -18,7 +18,15 @@ from xpviews import (
     tree_from_text,
     unfold_expr,
 )
-from xpviews.pattern import canon_key, compensate_expr, compensate_pattern, relative_ast
+from xpviews.pattern import (
+    canon_key,
+    compensate_expr,
+    compensate_pattern,
+    dag_intersect,
+    relative_ast,
+    singleton_pattern,
+    tp_of_path,
+)
 from xpviews.syntax import CHILD, DESC, Path, Step, parse, print_expr
 
 from conftest import two_branch_merges
@@ -244,3 +252,26 @@ def test_cached_structure_follows_edits():
     p.remove_nodes({1, 2})
     assert p.topo_order() == (0, 3)
     assert p.label_index() == {"L": (0,), "a": (3,)}
+
+
+def test_deep_predicate_keys_and_copies():
+    # doc("L")/a with a 5,000-deep predicate chain: keys and copies walk it
+    # without recursing along its depth.  Deep keys are compared by hash,
+    # since comparing two equal nested tuples recurses in the interpreter.
+    depth = 5_000
+    p = tree_from_text('doc("L")/a')
+    cur = p.out
+    for i in range(depth):
+        n = p.add_node("b", "x" if i == depth - 1 else None)
+        p.add_edge(cur, n, DESC if i == 0 else CHILD)
+        cur = n
+    key = canon_key(p)
+    tp = tp_of_path(p, main_branch(p))
+    assert tp.size() == p.size() and hash(canon_key(tp)) == hash(key)
+    (q, axis), = p.pred_edges(p.out)
+    s = singleton_pattern("a", p, q, axis)
+    assert s.size() == depth + 1
+    assert hash(canon_key(s)) == hash(canon_key(subpattern_at(p, p.out)))
+    d = dag_intersect([p, tp])
+    assert d.size() == 2 * depth + 2 and d.is_tree()
+    assert len(d.pred_edges(d.out)) == 2
