@@ -87,6 +87,7 @@ class Pattern:
         self._adj = None
         self._topo: Optional[tuple[int, ...]] = None
         self._labels: Optional[dict[str, tuple[int, ...]]] = None
+        self._tree: Optional[bool] = None
 
     # -- construction ------------------------------------------------------
 
@@ -121,6 +122,7 @@ class Pattern:
         self._adj = None
         self._topo = None
         self._labels = None
+        self._tree = None
 
     def _adjacency(self):
         if getattr(self, "_adj", None) is None:
@@ -227,10 +229,14 @@ class Pattern:
         return [(b, k) for b, k in self.out_edges(n) if b not in mbn]
 
     def is_tree(self) -> bool:
-        ins = {n: 0 for n in self.nodes}
-        for _, b, _ in self.edges:
-            ins[b] += 1
-        return all(c == 1 for n, c in ins.items() if n != self.root) and ins[self.root] == 0
+        # cached with the derived sets: a write to ``root`` after the
+        # pattern is built must be followed by ``_dirty``
+        if self._tree is None:
+            ins = {n: 0 for n in self.nodes}
+            for _, b, _ in self.edges:
+                ins[b] += 1
+            self._tree = all(c == 1 for n, c in ins.items() if n != self.root) and ins[self.root] == 0
+        return self._tree
 
     def topo_order(self) -> tuple[int, ...]:
         """Nodes in topological order, smallest ready id first."""

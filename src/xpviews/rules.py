@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .syntax import CHILD, DESC
 from .pattern import (
@@ -169,53 +169,91 @@ def _r1_forced_pair(d: Pattern) -> Optional[tuple[int, int]]:
     return None
 
 
-def _slash_path_lengths(d: Pattern) -> bool:
-    """True when two /-paths share endpoints but differ in length."""
-    mbn = sorted(d.mb_nodes())
-    # lengths[x][y] = set of /-path lengths from x to y
-    lengths: dict[int, dict[int, set[int]]] = {n: {n: {0}} for n in mbn}
-    order = [n for n in d.topo_order() if n in set(mbn)]
-    for x in reversed(order):
-        for b, k in d.mb_out_edges(x):
-            if k != CHILD:
-                continue
-            for y, ls in lengths[b].items():
-                tgt = lengths[x].setdefault(y, set())
-                tgt.update(l + 1 for l in ls)
-    return any(len(ls) > 1 for row in lengths.values() for ls in row.values())
+def _forced_unsat(d: Pattern, pairs: Iterable[tuple[int, int]] = ()) -> bool:
+    """Whether merging ``pairs`` of same-label main-branch nodes, then
+    saturating the forced rule R1, is immediately unsatisfiable.  Reads
+    ``d`` only: R1's saturation is a congruence closure, a union-find in
+    which same-label /-children of one class merge, as do same-label
+    /-parents.  It fails when the quotient is cyclic (a forced merge of
+    comparable nodes) or some class keeps /-parents in two classes, which
+    then carry different labels."""
+    mbn = d.mb_nodes()
+    up = {n: n for n in mbn}
+
+    def find(x: int) -> int:
+        while up[x] != x:
+            up[x] = x = up[up[x]]
+        return x
+
+    # per class root: label -> one /-child (kids) or /-parent (pars) node
+    kids: dict[int, dict[str, int]] = {n: {} for n in mbn}
+    pars: dict[int, dict[str, int]] = {n: {} for n in mbn}
+    todo = list(pairs)
+    mb_edges = [(a, b, k) for a, b, k in d.edges if a in mbn and b in mbn]
+    for a, b, k in mb_edges:
+        if k == CHILD:
+            for side, x, y in ((kids, a, b), (pars, b, a)):
+                other = side[x].setdefault(d.label(y), y)
+                if other != y:
+                    todo.append((other, y))
+    while todo:
+        a, b = todo.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        up[b] = a
+        for side in (kids, pars):
+            for lab, y in side.pop(b).items():
+                other = side[a].setdefault(lab, y)
+                if find(other) != find(y):
+                    todo.append((other, y))
+    if any(len(labs) > 1 for labs in pars.values()):
+        return True
+    # Kahn's algorithm on the quotient; a self-loop keeps its class's
+    # in-degree above zero, so it counts as a cycle
+    succ: dict[int, list[int]] = {c: [] for c in pars}
+    indeg = dict.fromkeys(pars, 0)
+    for a, b, _ in mb_edges:
+        b = find(b)
+        succ[find(a)].append(b)
+        indeg[b] += 1
+    ready = [c for c, k in indeg.items() if k == 0]
+    for c in ready:
+        for b in succ[c]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                ready.append(b)
+    return len(ready) != len(indeg)
 
 
 def immediately_unsatisfiable(d) -> bool:
-    """Sufficient unsatisfiability test: after saturating the forced
-    collapses, either two same-endpoint /-paths of different lengths exist,
-    or some node has /-parents with different labels."""
-    return d is EMPTY or _unsatisfiable_after_r1(_Engine(d))
+    """Sufficient unsatisfiability test: saturating the forced collapses
+    would merge comparable nodes, or leaves some node with /-parents of
+    different labels.
 
-
-def _unsatisfiable_after_r1(eng: "_Engine") -> bool:
-    """``immediately_unsatisfiable`` on the engine's working pattern, which
-    it saturates with the forced rule."""
-    eng.saturate_r1()
-    if eng.dead or _slash_path_lengths(eng.w):
-        return True
-    w = eng.w
-    return any(
-        len({w.label(a) for a, k in w.mb_in_edges(n) if k == CHILD}) > 1
-        for n in sorted(w.mb_nodes())
-    )
+    Two /-paths with shared endpoints and different lengths need no test
+    of their own: once every node has a single /-parent, the two paths
+    coincide walking up from their shared lower end.
+    """
+    return d is EMPTY or _forced_unsat(d)
 
 
 def collapsible(d: Pattern, n1: int, n2: int) -> bool:
     """Same label and the tentative collapse is not immediately
-    unsatisfiable."""
+    unsatisfiable.
+
+    The /-runs below the two nodes must also agree label-wise, as must the
+    runs above them.  This is stricter than the collapse alone, and R2's
+    soundness rests on it: in every interleaving the main branch is a
+    path, so the merged node has one main-branch /-child and one /-parent
+    there, and its runs merge cell by cell.
+    """
     if n1 == n2:
         return True
     if d.label(n1) != d.label(n2):
         return False
     if d.reaches(n1, n2) or d.reaches(n2, n1):
         return False
-    # fast negative: the outgoing /-runs must agree label-wise, as must the
-    # incoming ones (they merge cell by cell)
     down1 = [d.label(x) for x in _slash_run_down(d, n1)[1:]]
     down2 = [d.label(x) for x in _slash_run_down(d, n2)[1:]]
     if any(a != b for a, b in zip(down1, down2)):
@@ -224,8 +262,7 @@ def collapsible(d: Pattern, n1: int, n2: int) -> bool:
     up2 = [d.label(x) for x in _slash_run_up(d, n2)[:-1]]
     if any(a != b for a, b in zip(reversed(up1), reversed(up2))):
         return False
-    eng = _Engine(d)
-    return _collapse_inplace(eng.w, n1, n2) and not _unsatisfiable_after_r1(eng)
+    return not _forced_unsat(d, [(n1, n2)])
 
 
 def similar(d1: Pattern, d2: Pattern) -> bool:
@@ -650,12 +687,9 @@ class _Engine:
             for n4 in p2:
                 if d.label(n4) != d.label(n3):
                     continue
-                got = _collapse_pairs(d, [(n4, n3)])
-                if got is None:
+                if _forced_unsat(d, [(n4, n3)]):
                     continue
-                w4, res = got
-                if immediately_unsatisfiable(w4):
-                    continue
+                w4, res = _collapse_pairs(d, [(n4, n3)])
                 sub4, _ = _subpattern_with_map(w4, res(n2))
                 if find_mapping(probe, sub4, ROOT_MAPPING) is None:
                     ok = False

@@ -297,3 +297,115 @@ def two_branch_merges(p1: Pattern, p2: Pattern) -> set:
 
     rec(1, 1, [[(p1, b1[0]), (p2, b2[0])]])
     return results
+
+
+# ---------------------------------------------------------------------------
+# side conditions of the rules, by trial collapse on a copy
+
+
+def trial_collapse_unsat(d: Pattern, pairs=()) -> bool:
+    """Whether collapsing ``pairs`` of main-branch nodes, then saturating
+    the forced rule (same-label /-children, or /-parents, of one node
+    merge), exposes unsatisfiability: a merge of comparable nodes, two
+    /-paths with shared endpoints and different lengths, or a node with
+    /-parents of different labels.  Works on its own copy of the main
+    branch's edges, one merge at a time."""
+    mbn = set(d.mb_nodes())
+    edges = {(a, b, k) for a, b, k in d.edges if a in mbn and b in mbn}
+
+    def below(x: int) -> set[int]:
+        seen: set[int] = set()
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for a, b, _ in edges:
+                if a == y and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return seen
+
+    def merge(keep: int, gone: int) -> bool:
+        nonlocal edges
+        if gone in below(keep) or keep in below(gone):
+            return False
+        edges = {(keep if a == gone else a, keep if b == gone else b, k) for a, b, k in edges}
+        mbn.discard(gone)
+        return True
+
+    alias: dict[int, int] = {}
+    for keep, gone in pairs:
+        while keep in alias:
+            keep = alias[keep]
+        while gone in alias:
+            gone = alias[gone]
+        if keep != gone:
+            if not merge(keep, gone):
+                return True
+            alias[gone] = keep
+
+    def forced_pair():
+        for n in sorted(mbn):
+            for side in (0, 1):
+                seen: dict[str, int] = {}
+                for e in sorted(edges):
+                    if e[2] != CHILD or e[side] != n:
+                        continue
+                    other = e[1 - side]
+                    lab = d.label(other)
+                    if lab in seen and seen[lab] != other:
+                        return seen[lab], other
+                    seen[lab] = other
+        return None
+
+    while (pair := forced_pair()) is not None:
+        if not merge(*pair):
+            return True
+
+    lengths: dict[int, dict[int, set[int]]] = {}
+
+    def slash_lengths(x: int) -> dict[int, set[int]]:
+        if x not in lengths:
+            row = {x: {0}}
+            for a, b, k in edges:
+                if a == x and k == CHILD:
+                    for y, ls in slash_lengths(b).items():
+                        row.setdefault(y, set()).update(l + 1 for l in ls)
+            lengths[x] = row
+        return lengths[x]
+
+    if any(len(ls) > 1 for n in mbn for ls in slash_lengths(n).values()):
+        return True
+    return any(
+        len({d.label(a) for a, b, k in edges if b == n and k == CHILD}) > 1 for n in mbn
+    )
+
+
+def trial_collapsible(d: Pattern, n1: int, n2: int) -> bool:
+    """``collapsible`` as a trial collapse: equal labels, incomparable
+    nodes, /-runs that agree label-wise going down and going up, and a
+    collapse that ``trial_collapse_unsat`` accepts."""
+    if n1 == n2:
+        return True
+    if d.label(n1) != d.label(n2):
+        return False
+    if d.reaches(n1, n2) or d.reaches(n2, n1):
+        return False
+    mbn = d.mb_nodes()
+
+    def run(n: int, down: bool) -> list[str]:
+        labels = []
+        while True:
+            nxt = [
+                b if down else a
+                for a, b, k in d.edges
+                if k == CHILD and (a if down else b) == n and (b if down else a) in mbn
+            ]
+            if len(nxt) != 1:
+                return labels
+            n = nxt[0]
+            labels.append(d.label(n))
+
+    for down in (True, False):
+        if any(x != y for x, y in zip(run(n1, down), run(n2, down))):
+            return False
+    return not trial_collapse_unsat(d, [(n1, n2)])

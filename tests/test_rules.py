@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from xpviews import (
@@ -20,7 +21,13 @@ from xpviews.pattern import canon_key, dag_intersect, main_branch, to_text
 from xpviews.rules import RULE_ORDER
 from xpviews.syntax import parse
 
-from conftest import random_es_pattern, random_tree_pattern
+from conftest import (
+    random_dag_corpus,
+    random_es_pattern,
+    random_tree_pattern,
+    trial_collapse_unsat,
+    trial_collapsible,
+)
 
 
 def fired(trace):
@@ -64,6 +71,28 @@ def test_collapsible_examples():
     lib = next(n for n in d.nodes if d.label(n) == "lib")
     assert not collapsible(d, lib, papers[0])
     assert collapsible(d, lib, lib)
+
+
+def test_slash_run_fast_negative_is_stricter_than_trial_collapse():
+    # The merged c would have main-branch /-children a and c.  No forced
+    # merge follows, so the trial collapse accepts it; but the main branch
+    # of every interleaving is a path, where a node has one /-child.
+    d = dag_from_expr(parse('doc("L")/c/a//c & doc("L")/a//c/c'))
+    c1, c2 = sorted(n for n in d.mb_nodes() if d.label(n) == "c" and n != d.out)
+    assert not trial_collapse_unsat(d, [(c1, c2)])
+    assert not collapsible(d, c1, c2)
+
+
+def test_side_conditions_match_trial_collapse_oracle():
+    pairs = 0
+    for seed in (20240811, 7, 99):
+        for _, d, _ in random_dag_corpus(seed, 500):
+            assert immediately_unsatisfiable(d) == trial_collapse_unsat(d), d
+            for n1, n2 in itertools.combinations(sorted(d.mb_nodes()), 2):
+                if d.label(n1) == d.label(n2):
+                    pairs += 1
+                    assert collapsible(d, n1, n2) == trial_collapsible(d, n1, n2), (d, n1, n2)
+    assert pairs == 5351
 
 
 def test_similar_example_5_2():
