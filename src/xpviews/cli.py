@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interleave", help="enumerate interleavings of a DAG")
     p.add_argument("expr")
     p.add_argument("--count", action="store_true")
-    p.add_argument("--list", dest="list_", action="store_true")
     p.add_argument("--union-free", action="store_true")
     p.set_defaults(fn=cmd_interleave)
 

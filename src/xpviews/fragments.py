@@ -12,8 +12,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator
 
-from .syntax import CHILD, DESC
-from .pattern import EMPTY, Pattern
+from .syntax import DESC
+from .pattern import EMPTY, Pattern, slash_run
 
 
 class FragmentClass(Enum):
@@ -35,33 +35,21 @@ def codes_incompatible(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
     return not codes_map(a, b) and not codes_map(b, a)
 
 
-def slash_path_below(d: Pattern, n: int) -> tuple[str, ...]:
-    """Labels of the /-path following ``n`` on the main branch."""
-    labels = []
-    cur = n
-    while True:
-        nxt = [b for b, k in d.mb_out_edges(cur) if k == CHILD]
-        if len(nxt) != 1:
-            break
-        cur = nxt[0]
-        labels.append(d.label(cur))
-    return tuple(labels)
-
-
 def _dd_subpredicates(
     d: Pattern, n: int, start: int, prefix: tuple[str, ...]
 ) -> Iterator[tuple[tuple[str, ...], int, bool]]:
     """(incoming /-path code, subtree root, attached-directly-to-n) for every
-    //-subpredicate reachable from ``start`` through predicate /-edges."""
-    for b, k in d.out_edges(start) if start != n else d.pred_edges(n):
-        if k == DESC:
-            yield prefix, b, start == n
-        else:
-            yield from _dd_subpredicates(d, n, b, prefix + (d.label(b),))
-
-
-def iter_dd_subpredicates(d: Pattern, n: int):
-    yield from _dd_subpredicates(d, n, n, ())
+    //-subpredicate reachable from ``start`` through predicate /-edges,
+    ``prefix`` being the code of the /-path into ``start``; at ``n`` itself
+    only its predicate edges count."""
+    stack = [(start, prefix)]
+    while stack:
+        x, code = stack.pop()
+        for b, k in d.out_edges(x) if x != n else d.pred_edges(n):
+            if k == DESC:
+                yield code, b, x == n
+            else:
+                stack.append((b, code + (d.label(b),)))
 
 
 def violating_subpredicates(d: Pattern, n: int) -> list[tuple[int, bool]]:
@@ -69,9 +57,9 @@ def violating_subpredicates(d: Pattern, n: int) -> list[tuple[int, bool]]:
 
     Returns (subtree root, hangs-directly-off-main-branch) pairs.
     """
-    follow = slash_path_below(d, n)
+    follow = tuple(d.label(x) for x in slash_run(d, n))
     out = []
-    for incoming, sub, direct in iter_dd_subpredicates(d, n):
+    for incoming, sub, direct in _dd_subpredicates(d, n, n, ()):
         if not codes_incompatible(incoming, follow):
             out.append((sub, direct))
     return out
@@ -118,24 +106,16 @@ def extended_skeleton(p: Pattern) -> Pattern:
         cur = nxt
 
 
-def added_pred_keeps_es(d: Pattern, n: int, q_owner: int, q_root: int) -> bool:
-    """Would attaching a copy of predicate ``q_root`` (of node ``q_owner``)
-    below ``n`` by a /-edge satisfy the ES condition at ``n``?"""
+def added_pred_keeps_es(d: Pattern, n: int, q_root: int) -> bool:
+    """Would attaching a copy of the predicate subtree ``q_root`` below
+    ``n`` by a /-edge satisfy the ES condition at ``n``?"""
     if n == d.out:
         return True
-    follow = slash_path_below(d, n)
-
-    def walk(x: int, prefix: tuple[str, ...]) -> bool:
-        for b, k in d.out_edges(x):
-            if k == DESC:
-                if not codes_incompatible(prefix, follow):
-                    return False
-            else:
-                if not walk(b, prefix + (d.label(b),)):
-                    return False
-        return True
-
-    return walk(q_root, (d.label(q_root),))
+    follow = tuple(d.label(x) for x in slash_run(d, n))
+    return all(
+        codes_incompatible(code, follow)
+        for code, _, _ in _dd_subpredicates(d, n, q_root, (d.label(q_root),))
+    )
 
 
 def root_token_code(p: Pattern) -> tuple[str, ...]:

@@ -14,6 +14,7 @@ from typing import Iterator, Optional
 
 from .syntax import CHILD, DESC
 from .pattern import EMPTY, CapExceeded, Pattern, _copy_into, _subtree, canon_key
+from .rules import apply_rules
 
 DEFAULT_CAP = 10**6
 
@@ -193,107 +194,14 @@ def first_interleaving(d) -> Optional[Interleaving]:
 # satisfiability
 
 
-def _slash_components(d: Pattern):
-    """Union-find with offsets over main-branch /-edges.
-
-    Returns (cell map node -> (comp, offset), conflict flag).  A conflict
-    is an inconsistent offset or two differently-labeled nodes forced onto
-    one cell.
-    """
-    mbn = sorted(d.mb_nodes())
-    parent = {n: n for n in mbn}
-    offset = {n: 0 for n in mbn}  # offset to the component representative
-
-    def find(n: int) -> tuple[int, int]:
-        if parent[n] == n:
-            return n, 0
-        r, off = find(parent[n])
-        parent[n] = r
-        offset[n] += off
-        return r, offset[n]
-
-    for n in mbn:
-        for b, k in d.mb_out_edges(n):
-            if k != CHILD:
-                continue
-            ra, oa = find(n)
-            rb, ob = find(b)
-            if ra == rb:
-                if ob != oa + 1:
-                    return None
-            else:
-                parent[rb] = ra
-                offset[rb] = oa + 1 - ob
-    cells: dict[int, tuple[int, int]] = {}
-    labels: dict[tuple[int, int], str] = {}
-    for n in mbn:
-        r, off = find(n)
-        cells[n] = (r, off)
-        prev = labels.get((r, off))
-        if prev is not None and prev != d.label(n):
-            return None
-        labels[(r, off)] = d.label(n)
-    return cells
-
-
-def quick_satisfiability(d) -> Optional[bool]:
-    """Polynomial-time screen: False when provably unsatisfiable, True when
-    the greedy placement is clash-free, None when inconclusive."""
-    if d is EMPTY:
-        return False
-    cells = _slash_components(d)
-    if cells is None:
-        return False
-    comps = sorted({c for c, _ in cells.values()})
-    # difference constraints between component bases from //-edges
-    arcs: list[tuple[int, int, int]] = []
-    for n in sorted(d.mb_nodes()):
-        cn, on = cells[n]
-        for b, k in d.mb_out_edges(n):
-            if k != DESC:
-                continue
-            cb, ob = cells[b]
-            arcs.append((cn, cb, on + 1 - ob))
-    base = {c: None for c in comps}
-    root_comp = cells[d.root][0]
-    base[root_comp] = -cells[d.root][1]
-    # Bellman-Ford longest paths from the root component
-    for it in range(len(comps) + 1):
-        changed = False
-        for (u, v, w) in arcs:
-            if base[u] is None:
-                continue
-            cand = base[u] + w
-            if base[v] is None or cand > base[v]:
-                base[v] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        return False  # positive cycle: infeasible
-    taken: dict[tuple[int, str], str] = {}
-    positions: dict[int, str] = {}
-    for n in sorted(d.mb_nodes()):
-        c, off = cells[n]
-        if base[c] is None:
-            base[c] = 0
-        pos = base[c] + off
-        lab = positions.get(pos)
-        if lab is None:
-            positions[pos] = d.label(n)
-        elif lab != d.label(n):
-            return None  # clash in the greedy placement; not a proof
-    return True
-
-
 def is_satisfiable(d) -> bool:
-    """Satisfiability of a DAG pattern (nonempty interleaving set)."""
-    if d is EMPTY:
+    """Satisfiability of a DAG pattern (nonempty interleaving set), read off
+    its rule fixpoint, which is equivalent to it: EMPTY is unsatisfiable, a
+    tree is satisfiable, and a DAG is when it has an interleaving."""
+    out = apply_rules(d)[0]
+    if out is EMPTY:
         return False
-    quick = quick_satisfiability(d)
-    if quick is not None:
-        return quick
-    return first_interleaving(d) is not None
+    return out.is_tree() or first_interleaving(out) is not None
 
 
 # ---------------------------------------------------------------------------

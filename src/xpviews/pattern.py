@@ -546,6 +546,22 @@ def main_branch(p: Pattern) -> list[int]:
     return chain[::-1]
 
 
+def slash_run(p: Pattern, n: int, down: bool = True, avoid: frozenset[int] = frozenset()) -> Iterator[int]:
+    """The main-branch /-run below ``n`` (``down``) or above it, nearest
+    node first and ``n`` left out: each step follows the one main-branch
+    /-edge that leaves the current node that way, outside ``avoid``, and
+    the run ends where there is none or several.  Lazy, so a caller that
+    compares runs stops at the first difference."""
+    mbn = p.mb_nodes()
+    edges = p.out_edges if down else p.in_edges
+    while True:
+        nxt = [x for x, k in edges(n) if k == CHILD and x in mbn and x not in avoid]
+        if len(nxt) != 1:
+            return
+        n = nxt[0]
+        yield n
+
+
 @dataclass(frozen=True)
 class Token:
     """Maximal /-connected segment of a main branch."""

@@ -27,6 +27,7 @@ from .pattern import (
     canon_key,
     main_branch,
     singleton_pattern,
+    slash_run,
     tp_of_path,
 )
 from .containment import (
@@ -63,25 +64,28 @@ RULE_ORDER = ["R2i", "R2ii", "R3i", "R3ii", "R4i", "R4ii", "R8", "R5", "R6", "R7
 # structural helpers
 
 
-def _slash_run_down(d: Pattern, start: int, avoid: frozenset[int] = frozenset()) -> list[int]:
-    """Maximal /-connected main-branch path from ``start`` (inclusive)."""
-    run = [start]
-    while True:
-        nxt = sorted(b for b, k in d.mb_out_edges(run[-1]) if k == CHILD and b not in avoid)
-        if len(nxt) != 1:
-            break
-        run.append(nxt[0])
-    return run
+def _orient(d: Pattern, down: bool):
+    """The main branch read downward (``down``) or upward: a node's
+    main-branch edges onward and back, and the (source, target) pair of an
+    edge from ``a`` onward to ``b``."""
+    if down:
+        return d.mb_out_edges, d.mb_in_edges, lambda a, b: (a, b)
+    return d.mb_in_edges, d.mb_out_edges, lambda a, b: (b, a)
 
 
-def _slash_run_up(d: Pattern, start: int, avoid: frozenset[int] = frozenset()) -> list[int]:
-    run = [start]
-    while True:
-        nxt = sorted(a for a, k in d.mb_in_edges(run[0]) if k == CHILD and a not in avoid)
+def _anchored_chain(d: Pattern, head: int, down: bool) -> Iterator[tuple[int, list[tuple[int, str]]]]:
+    """The single-anchor chain from ``head`` (rules R3, R4 and R6), read
+    downward (``down``) or upward: nodes with one main-branch edge back,
+    each the only onward neighbour of the one before.  Yields each node
+    with its onward edges."""
+    onward, back, _ = _orient(d, down)
+    x = head
+    while len(back(x)) == 1:
+        nxt = onward(x)
+        yield x, nxt
         if len(nxt) != 1:
-            break
-        run.insert(0, nxt[0])
-    return run
+            return
+        x = nxt[0][0]
 
 
 def _chains(d: Pattern) -> list[list[int]]:
@@ -254,14 +258,10 @@ def collapsible(d: Pattern, n1: int, n2: int) -> bool:
         return False
     if d.reaches(n1, n2) or d.reaches(n2, n1):
         return False
-    down1 = [d.label(x) for x in _slash_run_down(d, n1)[1:]]
-    down2 = [d.label(x) for x in _slash_run_down(d, n2)[1:]]
-    if any(a != b for a, b in zip(down1, down2)):
-        return False
-    up1 = [d.label(x) for x in _slash_run_up(d, n1)[:-1]]
-    up2 = [d.label(x) for x in _slash_run_up(d, n2)[:-1]]
-    if any(a != b for a, b in zip(reversed(up1), reversed(up2))):
-        return False
+    for down in (True, False):
+        runs = zip(slash_run(d, n1, down), slash_run(d, n2, down))
+        if any(d.label(a) != d.label(b) for a, b in runs):
+            return False
     return not _forced_unsat(d, [(n1, n2)])
 
 
@@ -320,67 +320,79 @@ def _build_merge(da, mba, db, mbb, s, junction) -> Pattern:
 
 
 # ---------------------------------------------------------------------------
-# chain mappings with pinned endpoints (rules R8/R9)
+# mappings of linear paths into /-runs (rules R4, R8, R9)
 
 
-def _chain_maps(d: Pattern, chain: list[int], run: list[int], n0: int, nc: int) -> list[dict[int, int]]:
-    """All mappings of a parallel chain onto the interior of a /-run.
-
-    ``run`` are the nodes strictly between ``n0`` and ``nc``; the chain
-    hangs off ``n0`` and feeds ``nc``.  Returns assignments chain node ->
-    run index.
-    """
+def _run_maps(path: list[tuple[str, str]], run: list[str], end: str = DESC) -> Iterator[tuple[int, ...]]:
+    """Position tuples mapping a nonempty linear path into a /-run of
+    labels, in lexicographic order.  ``path`` lists (label, axis) pairs,
+    each axis leading into its node from the one before; the first leads
+    in from just above the run, so / pins the path's start to the run's
+    first cell and // leaves it free.  ``end`` leads from the last node to
+    just below the run, and / pins it to the last cell."""
     m = len(run)
-    results: list[dict[int, int]] = []
 
-    def rec(i: int, prev_pos: int, acc: dict[int, int]) -> None:
-        if i == len(chain):
-            last = chain[-1]
-            k = d.axis(last, nc)
-            if k == CHILD and acc[last] != m - 1:
-                return
-            results.append(dict(acc))
-            return
-        node = chain[i]
-        if i == 0:
-            k = d.axis(n0, node)
-            lo = 0
-            exact = 0 if k == CHILD else None
+    def cells(i: int, prev: int) -> Iterator[int]:
+        label, axis = path[i]
+        lo, hi = prev + 1, (prev + 2 if axis == CHILD else m)
+        if i == len(path) - 1 and end == CHILD:
+            lo = max(lo, m - 1)
+        return (j for j in range(lo, min(hi, m)) if run[j] == label)
+
+    pos: list[int] = []
+    stack = [cells(0, -1)]
+    while stack:
+        j = next(stack[-1], None)
+        if j is None:
+            stack.pop()
+            continue
+        del pos[len(stack) - 1 :]
+        pos.append(j)
+        if len(pos) == len(path):
+            yield tuple(pos)
         else:
-            k = d.axis(chain[i - 1], node)
-            lo = prev_pos + 1
-            exact = prev_pos + 1 if k == CHILD else None
-        for pos in range(lo, m):
-            if exact is not None and pos != exact:
-                continue
-            if d.label(node) != d.label(run[pos]):
-                continue
-            acc[node] = pos
-            rec(i + 1, pos, acc)
-            del acc[node]
-
-    rec(0, -1, {})
-    return results
+            stack.append(cells(len(pos), j))
 
 
 def _slash_run_between(d: Pattern, n0: int, nc: int, forbidden: frozenset[int]) -> Optional[list[int]]:
-    """A /-edge path from n0 to nc (interior nodes returned), avoiding
-    ``forbidden``; None when there is none."""
-
-    def dfs(cur: int, acc: list[int]) -> Optional[list[int]]:
-        for b, k in sorted(d.mb_out_edges(cur)):
+    """The first /-edge path from n0 to nc in depth-first order (interior
+    nodes returned), avoiding ``forbidden``; None when there is none."""
+    path: list[int] = []
+    stack = [iter(d.mb_out_edges(n0))]
+    # nodes entered before are off the current path (a DAG) and led nowhere
+    seen = set(forbidden) | {d.out}
+    while stack:
+        for b, k in stack[-1]:
             if k != CHILD:
                 continue
             if b == nc:
-                return list(acc)
-            if b in forbidden or b == d.out:
-                continue
-            got = dfs(b, acc + [b])
-            if got is not None:
-                return got
-        return None
+                return path
+            if b not in seen:
+                seen.add(b)
+                path.append(b)
+                stack.append(iter(d.mb_out_edges(b)))
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return None
 
-    return dfs(n0, [])
+
+def _parallel_runs(d: Pattern) -> Iterator[tuple[list[int], list[int], list[tuple[int, ...]]]]:
+    """(chain, run, maps) for each main-branch chain between two nodes
+    that a /-run also joins, the maps placing the chain's nodes in the
+    run's interior (rules R8 and R9); chains with no map are skipped."""
+    for chain in _chains(d):
+        (n0, _), = d.mb_in_edges(chain[0])
+        (nc, _), = d.mb_out_edges(chain[-1])
+        run = _slash_run_between(d, n0, nc, frozenset(chain))
+        if not run:
+            continue
+        path = [(d.label(x), d.axis(a, x)) for a, x in zip([n0] + chain, chain)]
+        maps = list(_run_maps(path, [d.label(x) for x in run], d.axis(chain[-1], nc)))
+        if maps:
+            yield chain, run, maps
 
 
 # ---------------------------------------------------------------------------
@@ -427,36 +439,23 @@ class _Engine:
 
     def try_r2(self, variant: str) -> bool:
         d = self.w
+        onward, _, edge = _orient(d, variant == "R2i")
         for n in sorted(d.mb_nodes()):
-            if variant == "R2i":
-                slashes = [b for b, k in d.mb_out_edges(n) if k == CHILD]
-                dds = [b for b, k in d.mb_out_edges(n) if k == DESC]
-            else:
-                slashes = [a for a, k in d.mb_in_edges(n) if k == CHILD]
-                dds = [a for a, k in d.mb_in_edges(n) if k == DESC]
+            slashes = [x for x, k in onward(n) if k == CHILD]
+            dds = [x for x, k in onward(n) if k == DESC]
             for n1 in slashes:
                 for n2 in dds:
                     if n1 == n2 or collapsible(d, n1, n2):
                         continue
-                    if variant == "R2i":
-                        if d.reaches(n1, n2):
-                            continue
-                        if d.reaches(n2, n1):
-                            # n2 strictly between n0 and its /-child: no room
-                            self.dead = True
-                            return True
-                        before = self.snap()
-                        d.remove_edge(n, n2, DESC)
-                        d.add_edge(n1, n2, DESC)
-                    else:
-                        if d.reaches(n2, n1):
-                            continue
-                        if d.reaches(n1, n2):
-                            self.dead = True
-                            return True
-                        before = self.snap()
-                        d.remove_edge(n2, n, DESC)
-                        d.add_edge(n2, n1, DESC)
+                    if d.reaches(*edge(n1, n2)):
+                        continue
+                    if d.reaches(*edge(n2, n1)):
+                        # n2 strictly between n and its /-neighbour: no room
+                        self.dead = True
+                        return True
+                    before = self.snap()
+                    d.remove_edge(*edge(n, n2), DESC)
+                    d.add_edge(*edge(n1, n2), DESC)
                     self.record(
                         RuleInstance(variant, {"n0": n, "n1": n1, "n2": n2}), before
                     )
@@ -466,27 +465,27 @@ class _Engine:
     def try_r3(self, variant: str) -> bool:
         d = self.w
         down = variant == "R3i"
+        onward, _, _ = _orient(d, down)
         for n0 in sorted(d.mb_nodes()):
-            edges = d.mb_out_edges(n0) if down else d.mb_in_edges(n0)
-            slashes = [x for x, k in edges if k == CHILD]
-            dds = [x for x, k in edges if k == DESC]
+            slashes = [x for x, k in onward(n0) if k == CHILD]
+            dds = [x for x, k in onward(n0) if k == DESC]
             for h1 in slashes:
-                run1 = _slash_run_down(d, h1) if down else _slash_run_up(d, h1)
                 for h2 in dds:
                     if h2 == h1:
                         continue
                     p2 = self._r3_chain(h2, down)
                     if not p2:
                         continue
-                    k = len(p2)
-                    if len(run1) < k:
+                    p1 = [h1, *itertools.islice(slash_run(d, h1, down), len(p2) - 1)]
+                    if len(p1) < len(p2):
                         continue
-                    p1 = run1[:k] if down else run1[-k:]
+                    if not down:
+                        p1.reverse()
                     if set(p1) & set(p2):
                         continue
                     if [d.label(x) for x in p1] != [d.label(x) for x in p2]:
                         continue
-                    if not self._r3_conditions(p1, p2, down):
+                    if find_mapping(tp_of_path(d, p2), tp_of_path(d, p1), CONTAINMENT) is None:
                         continue
                     before = self.snap()
                     keep = p1[0] if down else p1[-1]
@@ -505,46 +504,29 @@ class _Engine:
 
     def _r3_chain(self, head: int, down: bool) -> list[int]:
         """Maximal /-path from ``head`` whose nodes all have one incoming
-        (R3i) or one outgoing (R3ii) main-branch edge; its far end must
-        carry only //-edges onward.  Returns [] when the shape is wrong."""
-        d = self.w
-
-        def anchor_ok(x: int) -> bool:
-            return len(d.mb_in_edges(x) if down else d.mb_out_edges(x)) == 1
-
-        if not anchor_ok(head):
-            return []
-        chain = [head]
-        while True:
-            cur = chain[-1]
-            cont = d.mb_out_edges(cur) if down else d.mb_in_edges(cur)
-            nxt = [x for x, k in cont if k == CHILD]
-            if len(cont) == 1 and len(nxt) == 1 and anchor_ok(nxt[0]):
-                chain.append(nxt[0])
-            else:
-                break
-        far = chain[-1]
-        far_edges = d.mb_out_edges(far) if down else d.mb_in_edges(far)
-        if any(k == CHILD for _, k in far_edges):
-            return []
-        return chain if down else chain[::-1]
-
-    def _r3_conditions(self, p1: list[int], p2: list[int], down: bool) -> bool:
-        d = self.w
-        tp1 = tp_of_path(d, p1)
-        tp2 = tp_of_path(d, p2)
-        return find_mapping(tp2, tp1, CONTAINMENT) is not None
+        (down) or one outgoing (up) main-branch edge, in root-first order;
+        its far end must carry only //-edges onward.  Returns [] when the
+        shape is wrong."""
+        chain = []
+        for x, onward in _anchored_chain(self.w, head, down):
+            chain.append(x)
+            axes = [k for _, k in onward]
+            if axes != [CHILD]:
+                return [] if CHILD in axes else (chain if down else chain[::-1])
+        return []
 
     def try_r4(self, variant: str) -> bool:
         d = self.w
         down = variant == "R4i"
+        onward, _, edge = _orient(d, down)
         for n0 in sorted(d.mb_nodes()):
-            edges = d.mb_out_edges(n0) if down else d.mb_in_edges(n0)
-            slashes = [x for x, k in edges if k == CHILD]
-            dds = [x for x, k in edges if k == DESC]
+            slashes = [x for x, k in onward(n0) if k == CHILD]
+            dds = [x for x, k in onward(n0) if k == DESC]
             for h2 in dds:
-                for p2, n3 in self._r4_chains(h2, down):
-                    anchors = d.mb_out_edges(n3) if down else d.mb_in_edges(n3)
+                chain = []
+                for n3, anchors in _anchored_chain(d, h2, down):
+                    chain.append(n3)
+                    p2 = list(chain)
                     if not anchors or any(k == CHILD for _, k in anchors):
                         continue
                     n4s = [x for x, _ in anchors]
@@ -555,14 +537,12 @@ class _Engine:
                     for h1 in slashes:
                         if h1 == h2 or h1 in avoid:
                             continue
-                        run = (
-                            _slash_run_down(d, h1, frozenset(avoid))
-                            if down
-                            else _slash_run_up(d, h1, frozenset(avoid))
-                        )
+                        run = [h1, *slash_run(d, h1, down, frozenset(avoid))]
+                        if not down:
+                            run.reverse()
                         if set(run) & set(p2):
                             continue
-                        if not self._r4_conditions(n0, run, p2, n4s, down):
+                        if not self._r4_conditions(run, p2, n4s, down):
                             continue
                         before = self.snap()
                         dead = set(p2)
@@ -572,10 +552,7 @@ class _Engine:
                         d.remove_nodes(dead)
                         hang = run[-1] if down else run[0]
                         for x in n4s:
-                            if down:
-                                d.add_edge(hang, x, DESC)
-                            else:
-                                d.add_edge(x, hang, DESC)
+                            d.add_edge(*edge(hang, x), DESC)
                         self.record(
                             RuleInstance(
                                 variant,
@@ -590,35 +567,8 @@ class _Engine:
         d = self.w
         return {x for x in d.nodes if d.reaches(x, n)}
 
-    def _r4_chains(self, head: int, down: bool) -> Iterator[tuple[list[int], int]]:
-        """Chains of single-anchor nodes from ``head``; yields (p2, n3) for
-        every admissible cut, n3 being the far end."""
+    def _r4_conditions(self, run, p2, n4s, down) -> bool:
         d = self.w
-
-        def ins(x):
-            return d.mb_in_edges(x) if down else d.mb_out_edges(x)
-
-        def outs(x):
-            return d.mb_out_edges(x) if down else d.mb_in_edges(x)
-
-        if len(ins(head)) != 1:
-            return
-        chain = [head]
-        while True:
-            cur = chain[-1]
-            yield list(chain), cur
-            o = outs(cur)
-            if len(o) != 1:
-                break
-            nxt = o[0][0]
-            if len(ins(nxt)) != 1:
-                break
-            chain.append(nxt)
-
-    def _r4_conditions(self, n0, run, p2, n4s, down) -> bool:
-        d = self.w
-        if not run:
-            return False
         tp2 = tp_of_path(d, p2 if down else list(reversed(p2)))
         if down:
             sub, ren = _subpattern_with_map(d, run[0])
@@ -641,14 +591,10 @@ class _Engine:
         run_labels = [d.label(x) for x in run]
         chain_nodes = p2 if down else list(reversed(p2))
         for n4 in n4s:
-            seq = []
             nodes = chain_nodes + [n4] if down else [n4] + chain_nodes
-            for i, x in enumerate(nodes):
-                if i == 0:
-                    seq.append((d.label(x), None))
-                else:
-                    seq.append((d.label(x), d.axis(nodes[i - 1], x)))
-            if _linear_maps_into_run(seq, run_labels):
+            path = [(d.label(nodes[0]), DESC)]
+            path += [(d.label(b), d.axis(a, b)) for a, b in zip(nodes, nodes[1:])]
+            if next(_run_maps(path, run_labels), None) is not None:
                 return False
         return True
 
@@ -658,26 +604,18 @@ class _Engine:
             slashes = [b for b, k in d.mb_out_edges(n1) if k == CHILD]
             dds = [b for b, k in d.mb_out_edges(n1) if k == DESC]
             for h1 in slashes:
-                run1 = _slash_run_down(d, h1)
                 for h3 in dds:
-                    run3 = _slash_run_down(d, h3)
-                    for k in range(min(len(run1), len(run3))):
-                        n2, n3 = run1[k], run3[k]
-                        if n2 == n3:
-                            continue
-                        if [d.label(x) for x in run1[:k]] != [
-                            d.label(x) for x in run3[:k]
-                        ]:
+                    runs = zip([h1, *slash_run(d, h1)], [h3, *slash_run(d, h3)])
+                    for n2, n3 in runs:
+                        if d.label(n2) != d.label(n3):
                             break
-                        if not collapsible(d, n2, n3):
-                            continue
-                        if self._r5_fire(n1, n2, n3):
+                        if n2 != n3 and collapsible(d, n2, n3) and self._r5_fire(n1, n2, n3):
                             return True
         return False
 
     def _r5_fire(self, n1: int, n2: int, n3: int) -> bool:
         d = self.w
-        p2 = _slash_run_down(d, n2)
+        p2 = [n2, *slash_run(d, n2)]
         for q_root, q_axis in d.pred_edges(n3):
             probe = singleton_pattern(d.label(n2), d, q_root, q_axis)
             sub2, _ = _subpattern_with_map(d, n2)
@@ -717,8 +655,8 @@ class _Engine:
         for n0 in sorted(d.mb_nodes()):
             heads = [b for b, _ in d.mb_out_edges(n0)]
             for h1, h2 in itertools.combinations(sorted(set(heads)), 2):
-                p1 = self._r6_chain(h1)
-                p2 = self._r6_chain(h2)
+                p1 = self._r3_chain(h1, True)
+                p2 = self._r3_chain(h2, True)
                 if not p1 or not p2 or len(p1) != len(p2):
                     continue
                 if [d.label(x) for x in p1] != [d.label(x) for x in p2]:
@@ -737,27 +675,6 @@ class _Engine:
                 )
                 return True
         return False
-
-    def _r6_chain(self, head: int) -> list[int]:
-        """/-run from head through one-in/one-out nodes.  The tail must not
-        be followed by any /-edge (only //-continuations merge soundly when
-        the two runs are placed at different heights)."""
-        d = self.w
-        if len(d.mb_in_edges(head)) != 1:
-            return []
-        chain = [head]
-        while True:
-            cur = chain[-1]
-            outs = d.mb_out_edges(cur)
-            nxt = [b for b, k in outs if k == CHILD]
-            if len(outs) != 1 or len(nxt) != 1:
-                break
-            if len(d.mb_in_edges(nxt[0])) != 1:
-                break
-            chain.append(nxt[0])
-        if any(k == CHILD for _, k in d.mb_out_edges(chain[-1])):
-            return []
-        return chain
 
     def try_r7(self) -> bool:
         d = self.w
@@ -827,24 +744,11 @@ class _Engine:
 
     def try_r8(self) -> bool:
         d = self.w
-        for chain in _chains(d):
-            head, tail = chain[0], chain[-1]
-            (n0, _), = d.mb_in_edges(head)
-            (nc, _), = d.mb_out_edges(tail)
-            run = _slash_run_between(d, n0, nc, frozenset(chain))
-            if run is None or not run:
-                continue
-            # n0/run/nc must be a pure /-run
-            maps = _chain_maps(d, chain, run, n0, nc)
-            if not maps:
-                continue
-            images: dict[int, set[int]] = {x: set() for x in chain}
-            for m in maps:
-                for x, pos in m.items():
-                    images[x].add(pos)
-            for x in chain:
-                if len(images[x]) == 1:
-                    n1 = run[next(iter(images[x]))]
+        for chain, run, maps in _parallel_runs(d):
+            for i, x in enumerate(chain):
+                images = {m[i] for m in maps}
+                if len(images) == 1:
+                    n1 = run[images.pop()]
                     before = self.snap()
                     if not _collapse_inplace(d, n1, x):
                         self.dead = True
@@ -858,26 +762,13 @@ class _Engine:
 
     def try_r9(self) -> bool:
         d = self.w
-        qs = []
-        for owner in sorted(d.mb_nodes()):
-            for q_root, q_axis in d.pred_edges(owner):
-                if q_axis == CHILD:
-                    qs.append((owner, q_root))
+        qs = [q for owner in sorted(d.mb_nodes()) for q, k in d.pred_edges(owner) if k == CHILD]
         if not qs:
             return False
-        for chain in _chains(d):
-            head, tail = chain[0], chain[-1]
-            (n0, _), = d.mb_in_edges(head)
-            (nc, _), = d.mb_out_edges(tail)
-            run = _slash_run_between(d, n0, nc, frozenset(chain))
-            if run is None or not run:
-                continue
-            maps = _chain_maps(d, chain, run, n0, nc)
-            if not maps:
-                continue
+        for chain, run, maps in _parallel_runs(d):
             for n in run:
-                for owner, q_root in qs:
-                    if not added_pred_keeps_es(d, n, owner, q_root):
+                for q_root in qs:
+                    if not added_pred_keeps_es(d, n, q_root):
                         continue
                     probe = singleton_pattern(d.label(n), d, q_root, CHILD)
                     subn, _ = _subpattern_with_map(d, n)
@@ -885,7 +776,7 @@ class _Engine:
                         continue  # already implied
                     ok = True
                     for m in maps:
-                        pairs = [(run[pos], x) for x, pos in m.items()]
+                        pairs = [(run[pos], x) for x, pos in zip(chain, m)]
                         got = _collapse_pairs(d, pairs)
                         if got is None:
                             ok = False
@@ -930,30 +821,6 @@ class _Engine:
             raise ValueError(rule)
         method, args = self.RULES[rule]
         return method(self, *args)
-
-
-def _linear_maps_into_run(seq: list[tuple[str, Optional[str]]], run_labels: list[str]) -> bool:
-    """Whether a linear pattern maps into a /-run (labels list)."""
-    m = len(run_labels)
-
-    def rec(i: int, at: int) -> bool:
-        if i == len(seq):
-            return True
-        label, axis = seq[i]
-        if i == 0:
-            for j in range(m):
-                if run_labels[j] == label and rec(i + 1, j):
-                    return True
-            return False
-        if axis == CHILD:
-            j = at + 1
-            return j < m and run_labels[j] == label and rec(i + 1, j)
-        for j in range(at + 1, m):
-            if run_labels[j] == label and rec(i + 1, j):
-                return True
-        return False
-
-    return rec(0, -1)
 
 
 def try_rule(rule: str, d: Pattern):

@@ -409,3 +409,56 @@ def trial_collapsible(d: Pattern, n1: int, n2: int) -> bool:
         if any(x != y for x, y in zip(run(n1, down), run(n2, down))):
             return False
     return not trial_collapse_unsat(d, [(n1, n2)])
+
+
+# ---------------------------------------------------------------------------
+# mappings of linear paths into /-runs, by recursion
+
+
+def chain_maps_oracle(path, run_labels, end) -> list[tuple[int, ...]]:
+    """Every mapping of a chain onto the cells of a /-run, in the order
+    found.  ``path`` lists (label, axis) pairs, the first axis leading in
+    from the node above the run (/ pins the chain's start to the first
+    cell); ``end`` leads from the chain's last node to the node below the
+    run (/ pins it to the last cell)."""
+    m = len(run_labels)
+    results: list[tuple[int, ...]] = []
+
+    def rec(i: int, prev_pos: int, acc: list[int]) -> None:
+        if i == len(path):
+            if end == CHILD and acc[-1] != m - 1:
+                return
+            results.append(tuple(acc))
+            return
+        label, axis = path[i]
+        exact = prev_pos + 1 if axis == CHILD else None
+        for pos in range(prev_pos + 1, m):
+            if exact is not None and pos != exact:
+                continue
+            if label != run_labels[pos]:
+                continue
+            acc.append(pos)
+            rec(i + 1, pos, acc)
+            acc.pop()
+
+    rec(0, -1, [])
+    return results
+
+
+def linear_maps_oracle(seq, run_labels) -> bool:
+    """Whether a linear pattern, (label, axis) pairs whose first axis is
+    ignored, maps anywhere into a /-run of labels."""
+    m = len(run_labels)
+
+    def rec(i: int, at: int) -> bool:
+        if i == len(seq):
+            return True
+        label, axis = seq[i]
+        if i == 0:
+            return any(run_labels[j] == label and rec(i + 1, j) for j in range(m))
+        if axis == CHILD:
+            j = at + 1
+            return j < m and run_labels[j] == label and rec(i + 1, j)
+        return any(run_labels[j] == label and rec(i + 1, j) for j in range(at + 1, m))
+
+    return rec(0, -1)

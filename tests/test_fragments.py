@@ -1,5 +1,5 @@
 from xpviews import classify, extended_skeleton, tree_from_text
-from xpviews.fragments import FragmentClass, are_akin, codes_map
+from xpviews.fragments import FragmentClass, added_pred_keeps_es, are_akin, codes_map
 from xpviews.pattern import canon_key
 
 ES = FragmentClass.EXTENDED_SKELETON
@@ -56,6 +56,18 @@ def test_extended_skeleton_pruning():
 def test_extended_skeleton_keeps_compatible_subpredicates():
     p = tree_from_text('doc("D")/a[b//c]/d//e')
     assert canon_key(extended_skeleton(p)) == canon_key(p)
+
+
+def test_added_predicate_keeps_es_by_incoming_code():
+    # below a the main branch reads b/c; a copy of [x/b//c] hangs c off
+    # the code x/b, which maps into b/c in neither direction, while the
+    # code b of [b//c] maps into it
+    p = tree_from_text('doc("D")/a[x/b//c][b//c]/b/c//d')
+    a = next(n for n in p.mb_nodes() if p.label(n) == "a")
+    preds = {p.label(b): b for b, _ in p.pred_edges(a)}
+    assert added_pred_keeps_es(p, a, preds["x"])
+    assert not added_pred_keeps_es(p, a, preds["b"])
+    assert added_pred_keeps_es(p, p.out, preds["b"])  # output predicates are free
 
 
 def test_codes_map_substring_semantics():

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-private module-level function is used somewhere.
+"""Every module of the package uses each name it imports, every private
+module-level function is used somewhere, and no function recurses unless
+it is listed.
 
 ``__init__.py`` is exempt from the first check: its imports are the
 package's public names.
@@ -72,3 +73,42 @@ def test_private_functions_are_used():
         used |= _names(ast.parse(path.read_text()))
     unused = sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
     assert not unused, f"private functions nothing uses: {', '.join(unused)}"
+
+
+# Functions that call themselves by name, as module.function; a nested
+# function or a method (calling ``self.name``) counts under its own name.
+# Recursion along pattern or document depth fails on deep inputs, so a new
+# one must be justified here.
+RECURSIVE = [
+    "containment.search",
+    "documents._at",
+    "documents._compile",
+    "documents.fits",
+    "documents.search",
+    "pattern._graft_pred",
+    "pattern._pred_of",
+    "pattern.dag_from_expr",
+    "syntax._normalize_comp",
+    "syntax._pred_text",
+    "syntax.print_expr",
+]
+
+
+def _callee(func: ast.expr):
+    """The name called: ``f(...)`` or a method call ``self.f(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "self":
+        return func.attr
+    return None
+
+
+def test_recursive_functions_are_listed():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                calls = {_callee(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+                if node.name in calls:
+                    found.append(f"{path.stem}.{node.name}")
+    assert sorted(found) == RECURSIVE

@@ -17,7 +17,7 @@ from xpviews import (
     union_free_oracle,
 )
 from xpviews.containment import CONTAINMENT, find_mapping
-from xpviews.interleaving import CapExceeded, _placements, quick_satisfiability
+from xpviews.interleaving import CapExceeded, _placements
 from xpviews.pattern import canon_key, dag_intersect, to_text
 from xpviews.syntax import parse
 
@@ -92,22 +92,6 @@ def test_satisfiability_agrees_with_enumeration():
         if d is EMPTY:
             continue
         assert is_satisfiable(d) == (next(iter(interleavings(d)), None) is not None)
-
-
-def test_quick_satisfiability_is_sound_when_conclusive():
-    rng = random.Random(87)
-    for _ in range(200):
-        out_label = rng.choice("ab")
-        parts = [
-            random_tree_pattern(rng, mb_len=rng.randint(1, 3), out_label=out_label)
-            for _ in range(2)
-        ]
-        d = dag_intersect(parts)
-        if d is EMPTY:
-            continue
-        quick = quick_satisfiability(d)
-        if quick is not None:
-            assert quick == (next(iter(interleavings(d)), None) is not None)
 
 
 def test_union_semantics_on_random_trees():

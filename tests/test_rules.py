@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from xpviews import (
     EMPTY,
@@ -18,10 +19,12 @@ from xpviews import (
     try_rule,
 )
 from xpviews.pattern import canon_key, dag_intersect, main_branch, to_text
-from xpviews.rules import RULE_ORDER
-from xpviews.syntax import parse
+from xpviews.rules import RULE_ORDER, _run_maps
+from xpviews.syntax import CHILD, DESC, parse
 
 from conftest import (
+    chain_maps_oracle,
+    linear_maps_oracle,
     random_dag_corpus,
     random_es_pattern,
     random_tree_pattern,
@@ -95,6 +98,44 @@ def test_side_conditions_match_trial_collapse_oracle():
     assert pairs == 5351
 
 
+def test_run_maps_match_recursive_oracles():
+    # every path of 1-4 nodes over labels a and b with every axis choice,
+    # every run of 0-6 labels, every start and end pinning
+    runs = [r for m in range(7) for r in itertools.product("ab", repeat=m)]
+    checked = 0
+    for n in range(1, 5):
+        for labels in itertools.product("ab", repeat=n):
+            for axes in itertools.product((CHILD, DESC), repeat=n):
+                path = list(zip(labels, axes))
+                for run in runs:
+                    for end in (CHILD, DESC):
+                        got = list(_run_maps(path, list(run), end))
+                        assert got == chain_maps_oracle(path, run, end), (path, run, end)
+                        checked += 1
+                    if axes[0] == DESC:
+                        found = next(_run_maps(path, list(run)), None) is not None
+                        assert found == linear_maps_oracle(path, run), (path, run)
+    assert checked == 340 * 2 * 127  # paths, end pinnings, runs
+
+
+def test_long_slash_runs_take_linear_time():
+    # the fixpoint once walked a whole /-run per main-branch node
+    n = 800
+    shapes = [
+        ('doc("L")/x/' + "a/" * n + "y", 'doc("L")/x//a//y', "R1 R3i R7 R7"),
+        ('doc("L")//x/' + "a/" * n + "y", 'doc("L")//a//y', "R3ii R7 R7"),
+        ('doc("L")/x//' + "a/" * n + "y", 'doc("L")/x//a/y', "R1 R1 R7"),
+    ]
+    for long, short, rules in shapes:
+        d = dag_intersect([tree_from_text(long), tree_from_text(short)])
+        t = time.perf_counter()
+        out, trace = apply_rules(d)
+        spent = time.perf_counter() - t
+        assert " ".join(fired(trace)) == rules
+        assert out.is_tree()
+        assert spent < 1.0, (long[:12], spent)
+
+
 def test_similar_example_5_2():
     p1 = tree_from_text('doc("D")/a/b[.//c]/d[.//e]')
     p2 = tree_from_text('doc("D")/a[b//e]/b/d[.//c]')
@@ -146,6 +187,16 @@ def test_r4i_rehangs_theorem_branch():
     assert out.is_tree()
     want = tree_from_text('doc("L")/lib/paper/section//theorem//figure[caption]/image')
     assert canon_key(out) == canon_key(want)
+
+
+def test_r4i_run_stops_above_the_anchors():
+    # R4i compares the chain a with the /-run below b, which must stop
+    # short of the chain's anchor (the output a) and of what lies below it
+    d, out, trace = run('doc("L")/b/a/a[a]/a & doc("L")//b[a]//a')
+    assert fired(trace) == ["R2ii", "R2ii", "R4i", "R7"]
+    step = next(s for s in trace if s.instance.rule == "R4i")
+    assert d.out not in step.instance.bindings["p1"]
+    assert out.is_tree()
 
 
 def test_r5_copies_caption_predicate():
