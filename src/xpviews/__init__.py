@@ -13,7 +13,6 @@ from .pattern import (
     UnknownView,
     ViewSet,
     collapse,
-    compensate,
     compensate_expr,
     compensate_pattern,
     dag_from_expr,
@@ -45,12 +44,11 @@ from .documents import (
     print_xml,
 )
 from .containment import (
-    PatternMapping,
     contains_by_canonical_model,
     dag_contained_in_dag,
     dag_contained_in_tree,
     equivalent,
-    find_mapping,
+    has_mapping,
     minimize,
     tree_contained_in_dag,
     tree_contains,
@@ -74,7 +72,6 @@ from .rewrite import (
     build_rewrite_candidate,
     filter_prefixes_by_keys,
     nested_rewrite,
-    prune_plan_fast,
     rewrite,
     rewrite_detailed,
     unfolding_contained,

@@ -2,36 +2,37 @@
 
 For the wildcard-free fragment, containment between tree patterns is
 witnessed exactly by containment mappings; containment of a tree into a
-DAG likewise.  Containment of a DAG into a tree goes through interleavings
-and is exponential by design.
+DAG likewise.  Whether a mapping exists is decided without search: by
+bottom-up feasibility sets for a tree source, and for a DAG source (into a
+tree) by arc consistency over those sets along the source's main branch.
+Containment of a DAG into a tree goes through interleavings and is
+exponential by design.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from typing import Optional
 
 from .syntax import CHILD
-from .pattern import EMPTY, Pattern, canon_key, main_branch
+from .pattern import EMPTY, Pattern, canon_key
 
 MAPPING = "mapping"
 ROOT_MAPPING = "root-mapping"
 CONTAINMENT = "containment-mapping"
 
 
-@dataclass
-class PatternMapping:
-    source: Pattern
-    target: Pattern
-    table: dict[int, int]
-    kind: str
-
-
-def _edge_ok(dst: Pattern, x: int, k: str, targets) -> bool:
+def _edge_ok(dst: Pattern, x: int, k: str, targets: set[int]) -> bool:
     """Whether an edge of kind ``k`` from ``x`` can end in ``targets``."""
     if k == CHILD:
         return any(y in targets for y, kk in dst.out_edges(x) if kk == CHILD)
     return not dst.descendants(x).isdisjoint(targets)
+
+
+def _linked(dst: Pattern):
+    """``related(x, y, k)`` for images in ``dst``: a source edge of kind
+    ``k`` needs a /-edge of ``dst`` from ``x`` to ``y``, or any path."""
+    return lambda x, y, k: (x, y, CHILD) in dst.edges if k == CHILD else dst.reaches(x, y)
 
 
 def _candidates(
@@ -39,17 +40,18 @@ def _candidates(
     dst: Pattern,
     pin: dict[int, int],
     allowed: Optional[dict[int, frozenset[int]]] = None,
-) -> Optional[dict[int, list[int]]]:
-    """Bottom-up feasibility sets, each in ``dst`` id order: exact on
-    tree-shaped sources, a sound pruner on DAG sources.  None when some
-    node has no image."""
+) -> Optional[dict[int, set[int]]]:
+    """Bottom-up feasibility sets: the images of each source node under
+    which its descendants map.  Exact on tree-shaped sources and on
+    predicate subtrees, which have one parent per node; a sound pruner on
+    the main branch of a DAG source.  None when some node has no image."""
     src_mbn = src.mb_nodes()
     dst_mbn = dst.mb_nodes()
-    cand: dict[int, list[int]] = {}
+    cand: dict[int, set[int]] = {}
     for a in reversed(src.topo_order()):
         req = src.test(a)
         on_mb = a in src_mbn
-        pool = [
+        pool = {
             x
             for x in dst.label_index().get(src.label(a), ())
             if (req is None or dst.test(x) == req)
@@ -57,92 +59,91 @@ def _candidates(
             and (allowed is None or a not in allowed or x in allowed[a])
             and (a not in pin or x == pin[a])
             and all(_edge_ok(dst, x, k, cand[b]) for b, k in src.out_edges(a))
-        ]
+        }
         if not pool:
             return None
         cand[a] = pool
     return cand
 
 
-def find_mapping(
+def _arc_consistent(p: Pattern, dom: dict[int, set[int]], related) -> bool:
+    """Narrow ``dom``, the images of ``p``'s main-branch nodes, until every
+    image has a partner at the other end of each main-branch edge; False as
+    soon as some node has no image left.  ``related(x, y, k)`` says whether
+    images ``x`` and ``y`` fit an edge of kind ``k``.
+
+    When the images lie on one chain (the main branch of a tree target, or
+    a root path of a document), / ("next position") and // ("any later
+    position") are min-closed, so the narrowed sets hold a mapping: each
+    node's image nearest the root (Jeavons and Cooper, "Tractable
+    constraints on ordered domains", AI 1995).  On a tree-shaped ``p``
+    every image left is that node's image under some mapping, whatever
+    the target.
+    """
+    mbn = p.mb_nodes()
+    if not all(dom[n] for n in mbn):
+        return False
+    edges = sorted(e for e in p.edges if e[0] in mbn and e[1] in mbn)
+    todo, queued = deque(edges), set(edges)
+    while todo:
+        e = todo.popleft()
+        queued.discard(e)
+        a, b, k = e
+        xs = {x for x in dom[a] if any(related(x, y, k) for y in dom[b])}
+        ys = {y for y in dom[b] if any(related(x, y, k) for x in xs)}
+        for n, kept in ((a, xs), (b, ys)):
+            if len(kept) < len(dom[n]):
+                if not kept:
+                    return False
+                dom[n] = kept
+                again = [f for f in edges if n in f[:2] and f != e and f not in queued]
+                queued.update(again)
+                todo.extend(again)
+    return True
+
+
+def has_mapping(
     src: Pattern,
     dst: Pattern,
     kind: str = MAPPING,
     allowed: Optional[dict[int, frozenset[int]]] = None,
-) -> Optional[PatternMapping]:
-    """Search for a mapping of ``src`` into ``dst``.
+) -> bool:
+    """Whether ``src`` maps into ``dst``.
 
     Conditions: labels and tests preserved, /-edges to /-edges, //-edges to
     directed paths, main-branch nodes to main-branch nodes.  Root mappings
     pin the root, containment mappings also pin the output.  ``allowed``
-    restricts node images.
+    restricts node images.  The bottom-up sets decide a tree-shaped
+    source; a DAG source needs a tree target, whose main branch is a chain,
+    and arc consistency across the source's main branch decides it.
     """
     if src is EMPTY or dst is EMPTY:
-        return None
+        return False
+    if not (src.is_tree() or dst.is_tree()):
+        raise ValueError("has_mapping needs a tree-shaped source or target")
     pin: dict[int, int] = {}
     if kind in (ROOT_MAPPING, CONTAINMENT):
         pin[src.root] = dst.root
     if kind == CONTAINMENT:
         if src.out in pin and pin[src.out] != dst.out:
-            return None
+            return False
         pin[src.out] = dst.out
     cand = _candidates(src, dst, pin, allowed)
-    if cand is None:
-        return None
-    order = src.topo_order()
-    assign: dict[int, int] = {}
-
-    def consistent(a: int, x: int) -> bool:
-        for pa, k in src.in_edges(a):
-            if pa in assign:
-                if k == CHILD:
-                    if (assign[pa], x, CHILD) not in dst.edges:
-                        return False
-                else:
-                    if not dst.reaches(assign[pa], x):
-                        return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        a = order[i]
-        for x in cand[a]:
-            if consistent(a, x):
-                assign[a] = x
-                if search(i + 1):
-                    return True
-                del assign[a]
-        return False
-
-    if not search(0):
-        return None
-    return PatternMapping(src, dst, dict(assign), kind)
+    return cand is not None and (src.is_tree() or _arc_consistent(src, cand, _linked(dst)))
 
 
 def root_mapping_out_images(src: Pattern, dst: Pattern) -> list[int]:
-    """All images of OUT(src) under root-mappings into ``dst``, ascending.
-
-    The bottom-up feasibility sets, then one top-down pass along the
-    source's main branch that keeps the images reachable from the pinned
-    root.  Both are exact because the source is a tree: its subtrees share
-    no nodes, so their images are independent.
-    """
+    """All images of OUT(src) under root-mappings into ``dst``, ascending:
+    the output's set once the bottom-up sets are narrowed across the main
+    branch.  Exact because the source is a tree."""
     if src is EMPTY or dst is EMPTY:
         return []
     if not src.is_tree():
         raise ValueError("root_mapping_out_images needs a tree-shaped source")
     cand = _candidates(src, dst, {src.root: dst.root})
-    if cand is None:
+    if cand is None or not _arc_consistent(src, cand, _linked(dst)):
         return []
-    here = set(cand[src.root])
-    mb = main_branch(src)
-    for a, b in zip(mb, mb[1:]):
-        if src.axis(a, b) == CHILD:
-            here = {y for y in cand[b] if any((x, y, CHILD) in dst.edges for x in here)}
-        else:
-            here = {y for y in cand[b] if any(dst.reaches(x, y) for x in here)}
-    return sorted(here)
+    return sorted(cand[src.out])
 
 
 def tree_contains(p1: Pattern, p2: Pattern) -> bool:
@@ -151,7 +152,7 @@ def tree_contains(p1: Pattern, p2: Pattern) -> bool:
         return True
     if p1 is EMPTY:
         return False
-    return find_mapping(p1, p2, CONTAINMENT) is not None
+    return has_mapping(p1, p2, CONTAINMENT)
 
 
 def tree_contained_in_dag(p: Pattern, d) -> bool:
@@ -160,7 +161,7 @@ def tree_contained_in_dag(p: Pattern, d) -> bool:
         return True
     if d is EMPTY:
         return False
-    return find_mapping(d, p, CONTAINMENT) is not None
+    return has_mapping(d, p, CONTAINMENT)
 
 
 def dag_contained_in_tree(d, p: Pattern) -> bool:
@@ -184,7 +185,7 @@ def dag_contained_in_dag(d1, d2) -> bool:
     if d2 is EMPTY:
         return not is_satisfiable(d1)
     for i in interleavings(d1):
-        if find_mapping(d2, i.pattern, CONTAINMENT) is None:
+        if not has_mapping(d2, i.pattern, CONTAINMENT):
             return False
     return True
 
@@ -224,7 +225,7 @@ def minimize(p: Pattern) -> Pattern:
             trial = cur.clone()
             trial.remove_nodes(cur.descendants(n) | {n})
             # dropping predicates only enlarges; equality needs trial ⊑ cur
-            if find_mapping(cur, trial, CONTAINMENT) is not None:
+            if has_mapping(cur, trial, CONTAINMENT):
                 cur = trial
                 break
         else:

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 from .syntax import CHILD, DESC, Compensated, Expr, Intersect, Path, Pred, Step
 from .pattern import EMPTY, Pattern, UnknownView, ViewSet, _graft_pred, _graft_steps, main_branch
+from .containment import _arc_consistent
 
 
 class UnsupportedXml(ValueError):
@@ -281,9 +282,10 @@ def _embed(p: Pattern, t: XmlTree, starts: Iterable[int]) -> set[int]:
 def eval_dag_pattern(d, t: XmlTree) -> set[int]:
     """Embedding semantics extended to DAG patterns.
 
-    Main-branch images all lie on one root path of ``t``; we fix the output
-    image and search for a consistent assignment, using the tree-exact
-    candidate sets for pruning.
+    Fix the output's image: every main-branch image then lies on its root
+    path, a chain, and arc consistency across the main-branch edges decides
+    whether an embedding exists.  Predicate subtrees have one parent per
+    node, so the candidate sets are exact for them.
     """
     if d is EMPTY or t.labels[t.root] != d.label(d.root):
         return set()
@@ -291,39 +293,16 @@ def eval_dag_pattern(d, t: XmlTree) -> set[int]:
     if cand is None:
         return set()
     mbn = d.mb_nodes()
-    order = [n for n in d.topo_order()]
+
+    def related(x: int, y: int, k: str) -> bool:
+        return t.parent[y] == x if k == CHILD else t.is_strict_descendant(y, x)
+
     result = set()
-    for out_img in sorted(cand[d.out]):
+    for out_img in cand[d.out]:
         path = set(_root_path(t, out_img))
-        assign: dict[int, int] = {}
-
-        def ok(pn: int, x: int) -> bool:
-            for a, k in d.in_edges(pn):
-                if a in assign:
-                    if k == CHILD and t.parent[x] != assign[a]:
-                        return False
-                    if k == DESC and not t.is_strict_descendant(x, assign[a]):
-                        return False
-            return True
-
-        def search(i: int) -> bool:
-            if i == len(order):
-                return True
-            pn = order[i]
-            pool = cand[pn]
-            if pn in mbn:
-                pool = pool & path
-            if pn == d.out:
-                pool = pool & {out_img}
-            for x in sorted(pool):
-                if ok(pn, x):
-                    assign[pn] = x
-                    if search(i + 1):
-                        return True
-                    del assign[pn]
-            return False
-
-        if search(0):
+        dom = {n: cand[n] & path for n in mbn}
+        dom[d.out] = {out_img}
+        if _arc_consistent(d, dom, related):
             result.add(out_img)
     return result
 

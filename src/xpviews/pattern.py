@@ -709,14 +709,6 @@ def compensate_pattern(r: Pattern, p: Pattern, n: int) -> Pattern:
     return res
 
 
-def compensate(r, p: Pattern, n: int):
-    """Delete the first symbol of xpath(SUB(p, n)) and concatenate the rest
-    to ``r``; works on tree patterns and on plan expressions alike."""
-    if isinstance(r, Pattern):
-        return compensate_pattern(r, p, n)
-    return compensate_expr(r, p, n)
-
-
 def compensate_expr(r: Expr, p: Pattern, n: int) -> Expr:
     """Compensation on plan expressions.
 

@@ -26,13 +26,12 @@ from .pattern import (
     compensate_pattern,
     lossless_prefixes,
     main_branch,
-    tokens,
     unfold_expr,
 )
 from .containment import (
     CONTAINMENT,
     dag_contained_in_tree,
-    find_mapping,
+    has_mapping,
     minimize,
     root_mapping_out_images,
     tree_contains,
@@ -125,41 +124,6 @@ def best_comp(v: Pattern, p: Pattern) -> Pattern:
     depth = {n: i for i, n in enumerate(main_branch(p))}
     top = min(images, key=lambda n: depth[n])
     return compensate_pattern(v, p, top)
-
-
-def prune_plan_fast(q: Pattern, prefix: Pattern, pairs: list[tuple[str, int]], views: ViewSet) -> bool:
-    """Cheap necessary conditions; False proves there is no rewriting for
-    this prefix."""
-    if not pairs:
-        return False
-    toks = tokens(prefix)
-    comp_codes = []
-    for name, b in pairs:
-        v = views[name]
-        comp = compensate_pattern(v, prefix, b)
-        comp_codes.append([t.labels(comp) for t in tokens(comp)])
-    if len(toks) == 1:
-        # a /-only prefix needs a view whose compensated main branch is that
-        # exact /-path
-        want = toks[0].labels(prefix)
-        if not any(len(c) == 1 and c[0] == want for c in comp_codes):
-            return False
-    # root tokens must be pairwise prefix-compatible, and compatible with
-    # the prefix's root token
-    roots = [c[0] for c in comp_codes] + [toks[0].labels(prefix)]
-    for a in roots:
-        for b in roots:
-            k = min(len(a), len(b))
-            if a[:k] != b[:k]:
-                return False
-    # result tokens must be pairwise suffix-compatible
-    results = [c[-1] for c in comp_codes]
-    for a in results:
-        for b in results:
-            k = min(len(a), len(b))
-            if k and a[-k:] != b[-k:]:
-                return False
-    return True
 
 
 def filter_prefixes_by_keys(
@@ -417,6 +381,6 @@ def nested_rewrite(q: Pattern, views: ViewSet) -> Optional[RewritingGraph]:
         return None
     d = cand.unfold()
     # q ⊑ unfold via a containment mapping; unfold ⊑ q via the rule fixpoint
-    if find_mapping(d, q, CONTAINMENT) is None or not unfolding_contained(d, q):
+    if not has_mapping(d, q, CONTAINMENT) or not unfolding_contained(d, q):
         return None
     return cand

@@ -34,7 +34,7 @@ from .containment import (
     CONTAINMENT,
     MAPPING,
     ROOT_MAPPING,
-    find_mapping,
+    has_mapping,
 )
 from .fragments import added_pred_keeps_es
 
@@ -276,9 +276,9 @@ def similar(d1: Pattern, d2: Pattern) -> bool:
         return False
     k = len(code1)
     for p12 in _merge_candidates(d1, mb1, d2, mb2, k):
-        if find_mapping(d1, p12, ROOT_MAPPING) is None:
+        if not has_mapping(d1, p12, ROOT_MAPPING):
             return False
-        if find_mapping(d2, p12, ROOT_MAPPING) is None:
+        if not has_mapping(d2, p12, ROOT_MAPPING):
             return False
     return True
 
@@ -485,7 +485,7 @@ class _Engine:
                         continue
                     if [d.label(x) for x in p1] != [d.label(x) for x in p2]:
                         continue
-                    if find_mapping(tp_of_path(d, p2), tp_of_path(d, p1), CONTAINMENT) is None:
+                    if not has_mapping(tp_of_path(d, p2), tp_of_path(d, p1), CONTAINMENT):
                         continue
                     before = self.snap()
                     keep = p1[0] if down else p1[-1]
@@ -576,7 +576,7 @@ class _Engine:
             tp2_mb = main_branch(tp2)
             for i, x in enumerate(p2):
                 allowed[tp2_mb[i]] = frozenset(ren[y] for y in run)
-            if find_mapping(tp2, sub, MAPPING, allowed=allowed) is None:
+            if not has_mapping(tp2, sub, MAPPING, allowed=allowed):
                 return False
         else:
             tp1 = tp_of_path(d, run)
@@ -585,7 +585,7 @@ class _Engine:
             allowed = {
                 tp2_mb[i]: frozenset(tp1_mb) for i in range(len(tp2_mb))
             }
-            if find_mapping(tp2, tp1, MAPPING, allowed=allowed) is None:
+            if not has_mapping(tp2, tp1, MAPPING, allowed=allowed):
                 return False
         # the bare path p2 extended by any anchor must not map into p1
         run_labels = [d.label(x) for x in run]
@@ -619,7 +619,7 @@ class _Engine:
         for q_root, q_axis in d.pred_edges(n3):
             probe = singleton_pattern(d.label(n2), d, q_root, q_axis)
             sub2, _ = _subpattern_with_map(d, n2)
-            if find_mapping(probe, sub2, ROOT_MAPPING) is not None:
+            if has_mapping(probe, sub2, ROOT_MAPPING):
                 continue  # already implied
             ok = True
             for n4 in p2:
@@ -629,13 +629,13 @@ class _Engine:
                     continue
                 w4, res = _collapse_pairs(d, [(n4, n3)])
                 sub4, _ = _subpattern_with_map(w4, res(n2))
-                if find_mapping(probe, sub4, ROOT_MAPPING) is None:
+                if not has_mapping(probe, sub4, ROOT_MAPPING):
                     ok = False
                     break
             if ok and not any(d.reaches(n3, x) for x in p2):
                 ext = tp_of_path(d, p2)
                 ext.add_edge(ext.out, _copy_into(ext, d, _subtree(d, q_root))[q_root], DESC)
-                if find_mapping(probe, ext, ROOT_MAPPING) is None:
+                if not has_mapping(probe, ext, ROOT_MAPPING):
                     ok = False
             if not ok:
                 continue
@@ -711,7 +711,7 @@ class _Engine:
                     tp2_mb[i]: frozenset(ren[y] for y in between)
                     for i in range(len(tp2_mb))
                 }
-                if find_mapping(tp2, sub, MAPPING, allowed=allowed) is None:
+                if not has_mapping(tp2, sub, MAPPING, allowed=allowed):
                     continue
                 before = self.snap()
                 dead = set(p2)
@@ -772,7 +772,7 @@ class _Engine:
                         continue
                     probe = singleton_pattern(d.label(n), d, q_root, CHILD)
                     subn, _ = _subpattern_with_map(d, n)
-                    if find_mapping(probe, subn, ROOT_MAPPING) is not None:
+                    if has_mapping(probe, subn, ROOT_MAPPING):
                         continue  # already implied
                     ok = True
                     for m in maps:
@@ -783,7 +783,7 @@ class _Engine:
                             break
                         w2, res = got
                         sub2, _ = _subpattern_with_map(w2, res(n))
-                        if find_mapping(probe, sub2, ROOT_MAPPING) is None:
+                        if not has_mapping(probe, sub2, ROOT_MAPPING):
                             ok = False
                             break
                     if not ok:

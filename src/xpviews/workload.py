@@ -17,7 +17,7 @@ from typing import Optional
 
 from .syntax import CHILD, DESC
 from .pattern import CapExceeded, Pattern, ViewSet, lossless_prefixes, main_branch
-from .containment import equivalent, find_mapping, ROOT_MAPPING
+from .containment import equivalent, has_mapping, ROOT_MAPPING
 from .documents import (
     TreeGenConfig,
     XmlTree,
@@ -244,7 +244,7 @@ def generate_workload(cfg: GenConfig) -> tuple[XmlTree, Pattern, ViewSet]:
         for i in range(n_useless):
             while True:
                 v = _useless_view(rng, t.labels[t.root], pool)
-                if find_mapping(v, q, ROOT_MAPPING) is None:
+                if not has_mapping(v, q, ROOT_MAPPING):
                     break
             full.define(f"x{i}", v)
         return t, q, full

@@ -53,6 +53,28 @@ def _random_pred(rng, p, at, labels, depth):
         _random_pred(rng, p, nid, labels, depth - 1)
 
 
+def random_mb_dag(rng: random.Random, mb_len: int = 4, labels: tuple[str, ...] = ("a", "b")) -> Pattern:
+    """A DAG pattern of ``mb_len`` main-branch nodes after the root, each
+    below a random earlier one, plus random forward edges and predicates.
+    Unlike the DAGs of ``dag_intersect``, a node may sit below several
+    parents by /-edges."""
+    p = Pattern()
+    mb = [p.add_node(rng.choice(labels)) for _ in range(mb_len + 1)]
+    p.root, p.out = mb[0], mb[-1]
+    for j in range(1, len(mb)):
+        p.add_edge(mb[rng.randrange(j)], mb[j], rng.choice((CHILD, DESC)))
+    for _ in range(rng.randint(1, mb_len)):
+        i, j = sorted(rng.sample(range(len(mb)), 2))
+        p.add_edge(mb[i], mb[j], rng.choice((CHILD, DESC)))
+    for i in range(mb_len):  # every node leads on to the output
+        if not any(a == mb[i] for a, _, _ in p.edges):
+            p.add_edge(mb[i], mb[rng.randrange(i + 1, len(mb))], DESC)
+    for n in mb:
+        if rng.random() < 0.3:
+            _random_pred(rng, p, n, labels, 2)
+    return p
+
+
 def random_es_pattern(rng: random.Random, **kw) -> Pattern:
     """Random extended-skeleton pattern (resamples until it qualifies)."""
     for _ in range(200):
@@ -149,9 +171,9 @@ def brute_embeddings(p: Pattern, t) -> list[dict[int, int]]:
     return results
 
 
-def pinned_out_images(src: Pattern, dst: Pattern) -> list[int]:
-    """Images of OUT(src) under root-mappings into ``dst``: one exhaustive
-    search per main-branch node of ``dst``, pinned as the output's image."""
+def _brute_search(src: Pattern, dst: Pattern, pins: list[tuple[int, int]]) -> bool:
+    """Whether ``src`` maps into ``dst`` with each pinned source node on its
+    pinned image, by exhaustive assignment in id order."""
     below: dict[int, set[int]] = {}
     for n in dst.nodes:
         seen: set[int] = set()
@@ -175,7 +197,7 @@ def pinned_out_images(src: Pattern, dst: Pattern) -> list[int]:
             return False
         if n in src_mb and x not in dst_mb:
             return False
-        if n == src.root and x != dst.root:
+        if any(a == n and x != b for a, b in pins):
             return False
         for a, b, k in src.edges:
             if b == n and a in assign and not linked(assign[a], x, k):
@@ -184,19 +206,60 @@ def pinned_out_images(src: Pattern, dst: Pattern) -> list[int]:
                 return False
         return True
 
-    def search(i: int, assign: dict[int, int], pin: int) -> bool:
+    def search(i: int, assign: dict[int, int]) -> bool:
         if i == len(order):
             return True
         n = order[i]
-        for x in [pin] if n == src.out else sorted(dst.nodes):
+        for x in sorted(dst.nodes):
             if fits(n, x, assign):
                 assign[n] = x
-                if search(i + 1, assign, pin):
+                if search(i + 1, assign):
                     return True
                 del assign[n]
         return False
 
-    return [x for x in sorted(dst_mb) if search(0, {}, x)]
+    return search(0, {})
+
+
+def brute_mapping(src: Pattern, dst: Pattern, kind: str) -> bool:
+    """``has_mapping`` by exhaustive search: a mapping of any ``kind`` pins
+    nothing, a root mapping the root, a containment mapping the root and
+    the output."""
+    from xpviews.containment import CONTAINMENT, MAPPING
+
+    if src is EMPTY or dst is EMPTY:
+        return False
+    pins = [] if kind == MAPPING else [(src.root, dst.root)]
+    if kind == CONTAINMENT:
+        pins.append((src.out, dst.out))
+    return _brute_search(src, dst, pins)
+
+
+def pinned_out_images(src: Pattern, dst: Pattern) -> list[int]:
+    """Images of OUT(src) under root-mappings into ``dst``: one exhaustive
+    search per main-branch node of ``dst``, pinned as the output's image."""
+    return [
+        x for x in sorted(dst.mb_nodes()) if _brute_search(src, dst, [(src.root, dst.root), (src.out, x)])
+    ]
+
+
+def graft_models(p: Pattern, parts):
+    """A document below one root labelled as ``p``'s: the canonical models
+    of ``p``'s interleavings (at most eight) and of ``parts``, each without
+    its own root.  ``p`` has answers in it when it is satisfiable."""
+    from xpviews.documents import XmlTree, canonical_model
+    from xpviews.interleaving import interleavings
+
+    t = XmlTree()
+    top = t.add_node(p.label(p.root), None)
+    models = [canonical_model(i.pattern) for _, i in zip(range(8), interleavings(p))]
+    for m in models + [canonical_model(q) for q in parts]:
+        stack = [(c, top) for c in m.children[m.root]]
+        while stack:
+            n, at = stack.pop()
+            nid = t.add_node(m.labels[n], at, m.texts[n])
+            stack.extend((c, nid) for c in m.children[n])
+    return t
 
 
 def brute_eval(p: Pattern, t) -> set[int]:

@@ -1,13 +1,15 @@
 import itertools
 import random
 
+import pytest
+
 from xpviews import (
     EMPTY,
     apply_rules,
     dag_contained_in_dag,
     dag_from_expr,
     equivalent,
-    find_mapping,
+    has_mapping,
     minimize,
     tree_contained_in_dag,
     tree_contains,
@@ -17,16 +19,17 @@ from xpviews import (
 )
 from xpviews.containment import (
     CONTAINMENT,
+    MAPPING,
     ROOT_MAPPING,
     contains_by_canonical_model,
     dag_contained_in_tree,
     root_mapping_out_images,
 )
-from xpviews.interleaving import first_interleaving
+from xpviews.interleaving import first_interleaving, interleavings
 from xpviews.pattern import canon_key, compensate_pattern, dag_intersect, lossless_prefixes, main_branch
 from xpviews.syntax import parse
 
-from conftest import random_dag_corpus, random_tree_pattern
+from conftest import brute_mapping, random_dag_corpus, random_mb_dag, random_tree_pattern
 
 V1 = 'doc("L")//paper//section'
 V2 = 'doc("L")//section[theorem]'
@@ -42,14 +45,61 @@ def test_v1_root_maps_into_q_at_section():
 
 def test_identity_mapping_always_found():
     p = tree_from_text(Q10)
-    m = find_mapping(p, p, CONTAINMENT)
-    assert m is not None and m.table[p.root] == p.root and m.table[p.out] == p.out
+    assert has_mapping(p, p, CONTAINMENT)
+
+
+@pytest.mark.parametrize("seed", [20240811, 7, 99])
+def test_dag_source_mappings_match_exhaustive_search(seed):
+    # DAG sources into their own interleavings and branches and into random
+    # trees: arc consistency must decide as a plain search does
+    rng = random.Random(seed)
+    positive = 0
+    for _, d, parts in random_dag_corpus(seed, 150):
+        interleaved = [i.pattern for _, i in zip(range(4), interleavings(d))]
+        trees = [random_tree_pattern(rng, mb_len=rng.randint(1, 4), out_label=d.label(d.out)) for _ in range(2)]
+        for target in interleaved + parts + trees:
+            for kind in (MAPPING, ROOT_MAPPING, CONTAINMENT):
+                got = has_mapping(d, target, kind)
+                assert got == brute_mapping(d, target, kind), (seed, kind)
+                positive += got
+    assert positive > 100
+
+
+def test_mb_dag_mappings_match_exhaustive_search():
+    # main branches that rejoin by /-edges need narrowing both ways along
+    # an edge and again after a neighbour narrows
+    rng = random.Random(5)
+    positive = 0
+    for _ in range(1500):
+        d = random_mb_dag(rng, mb_len=rng.randint(2, 5))
+        target = random_tree_pattern(
+            rng, mb_len=rng.randint(2, 7), labels=("a", "b"), pred_prob=0.2, root_label=rng.choice("ab")
+        )
+        for kind in (MAPPING, ROOT_MAPPING, CONTAINMENT):
+            got = has_mapping(d, target, kind)
+            assert got == brute_mapping(d, target, kind), kind
+            positive += got
+    assert positive > 50
+
+
+def test_dag_source_needs_a_tree_target():
+    d = dag_from_expr(parse('doc("L")//a/b & doc("L")/a//b'))
+    assert not d.is_tree()
+    with pytest.raises(ValueError):
+        has_mapping(d, d, CONTAINMENT)
+
+
+def test_long_predicate_chain_maps_into_itself():
+    # deciding must take neither a stack frame per pattern node nor a list
+    # scan per candidate image
+    p = tree_from_text('doc("L")/a[' + "/".join(["b"] * 1000) + "]")
+    assert tree_contains(p, p)
 
 
 def test_no_containment_between_v1_and_v2():
     v1, v2 = tree_from_text(V1), tree_from_text(V2)
-    assert find_mapping(v1, v2, CONTAINMENT) is None
-    assert find_mapping(v2, v1, CONTAINMENT) is None
+    assert not has_mapping(v1, v2, CONTAINMENT)
+    assert not has_mapping(v2, v1, CONTAINMENT)
     assert not tree_contains(v1, v2)
     assert not tree_contains(v2, v1)
 
@@ -137,8 +187,8 @@ def test_minimize_admits_mappings_both_ways():
     for _ in range(40):
         p = random_tree_pattern(rng, mb_len=rng.randint(1, 3), pred_prob=0.7)
         m = minimize(p)
-        assert find_mapping(p, m, CONTAINMENT) is not None
-        assert find_mapping(m, p, CONTAINMENT) is not None
+        assert has_mapping(p, m, CONTAINMENT)
+        assert has_mapping(m, p, CONTAINMENT)
 
 
 def test_equivalent_is_an_equivalence_relation():

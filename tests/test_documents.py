@@ -25,7 +25,7 @@ from xpviews.documents import UnsupportedXml, _embed, _steps_pattern
 from xpviews.pattern import main_branch
 from xpviews.syntax import CHILD, DESC, Compensated, Intersect, Path, Pred, Step, parse, print_expr
 
-from conftest import brute_eval, random_tree_pattern
+from conftest import brute_eval, graft_models, random_dag_corpus, random_tree_pattern
 
 V10 = {
     "v1": 'doc("L")//paper//section',
@@ -83,6 +83,19 @@ def test_eval_dag_is_intersection_of_branches():
         want = eval_tree_pattern(q1, t) & eval_tree_pattern(q2, t)
         got = eval_dag_pattern(d, t) if d is not EMPTY else set()
         assert got == want
+
+
+@pytest.mark.parametrize("seed", [20240811, 7, 99])
+def test_eval_dag_matches_brute_force_on_grafted_models(seed):
+    # random documents seldom hold an answer of a random DAG; the canonical
+    # models of its interleavings and branches do
+    answered = 0
+    for _, d, parts in random_dag_corpus(seed, 60):
+        t = graft_models(d, parts)
+        want = brute_eval(d, t)
+        assert eval_dag_pattern(d, t) == want
+        answered += bool(want)
+    assert answered >= 20
 
 
 def test_eval_dag_empty_pattern():

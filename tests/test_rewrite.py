@@ -4,7 +4,6 @@ import pytest
 
 from xpviews import (
     EFFICIENT,
-    EMPTY,
     FULL,
     GenConfig,
     TreeGenConfig,
@@ -22,7 +21,6 @@ from xpviews import (
     generate_workload,
     materialize_all,
     nested_rewrite,
-    prune_plan_fast,
     rewrite,
     rewrite_detailed,
     tree_contained_in_dag,
@@ -40,11 +38,11 @@ from xpviews.pattern import (
     main_branch,
     to_text,
 )
-from xpviews.rewrite import _pairs_on, _plan_expr, _skeleton_views, _view_images, _view_pairs
+from xpviews.rewrite import _pairs_on, _skeleton_views, _view_images, _view_pairs
 from xpviews.syntax import parse, print_expr
 from xpviews.workload import CATEGORIES
 
-from conftest import pinned_out_images, random_es_pattern, random_tree_pattern
+from conftest import pinned_out_images, random_tree_pattern
 
 V10 = {
     "v1": 'doc("L")//paper//section',
@@ -173,23 +171,6 @@ def test_best_comp_property_on_random_instances():
             assert tree_contains(compensate_pattern(v, p, b), bc)
         n_checked += 1
     assert n_checked >= 10
-
-
-def test_prune_plan_fast_is_a_sound_filter():
-    rng = random.Random(40)
-    for _ in range(60):
-        q = random_es_pattern(rng, mb_len=rng.randint(2, 4))
-        views = ViewSet()
-        for i in range(rng.randint(1, 3)):
-            views.define(f"v{i}", random_tree_pattern(rng, mb_len=rng.randint(1, 3)))
-        for p in lossless_prefixes(q):
-            pairs = _view_pairs(views, p)
-            if not pairs:
-                continue
-            if not prune_plan_fast(q, p, pairs, views):
-                expr = _plan_expr(pairs, p)
-                d = unfold_expr(expr, views)
-                assert d is EMPTY or not dag_contained_in_tree(d, p)
 
 
 def test_filter_prefixes_by_keys():
