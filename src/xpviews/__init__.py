@@ -68,7 +68,6 @@ from .rewrite import (
     RewritePlan,
     RewritingGraph,
     all_rewrites,
-    best_comp,
     build_rewrite_candidate,
     filter_prefixes_by_keys,
     nested_rewrite,

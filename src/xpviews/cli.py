@@ -190,6 +190,10 @@ def cmd_rewrite(args) -> int:
                     "ruleTrace": [s.instance.rule for s in outcome.trace],
                     "timings": outcome.timings,
                     "interleavingFallbacks": outcome.interleaving_fallbacks,
+                    "viewsMapped": outcome.views_mapped,
+                    "pairsSeen": outcome.pairs_seen,
+                    "pairsKept": outcome.pairs_kept,
+                    "leastPairRetries": outcome.least_pair_retries,
                 }
             )
         )

@@ -340,9 +340,11 @@ class ViewSet:
 
     def __init__(self, defs: Optional[dict[str, Pattern]] = None):
         self.defs: dict[str, Pattern] = {}
-        # the extended skeletons of the definitions, built on demand by the
-        # rewriter and dropped by the next define
+        # the extended skeletons and the main-branch signatures of the
+        # definitions, built on demand by the rewriter and dropped by the
+        # next define
         self._skeletons: Optional[ViewSet] = None
+        self._signatures: Optional[list] = None
         if defs:
             for name, pat in defs.items():
                 self.define(name, pat)
@@ -357,6 +359,7 @@ class ViewSet:
         pattern.validate()
         self.defs[name] = pattern
         self._skeletons = None
+        self._signatures = None
 
     def __contains__(self, name: str) -> bool:
         return name in self.defs

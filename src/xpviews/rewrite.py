@@ -3,8 +3,10 @@ efficient tree-only variant, exhaustive enumeration, and nested plans.
 
 A plan intersects compensated view heads; its unfolding must be
 equivalent to the query.  Only a linear number of candidates (one per
-main-branch prefix) needs to be inspected for the single-level language;
-nested plans go through a single minimally-containing candidate graph.
+main-branch prefix) needs to be inspected for the single-level language,
+and each is decided on its least (view, image) pairs; only views whose
+main branch embeds in the query's are root-mapped.  Nested plans go
+through a single minimally-containing candidate graph.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .pattern import (
     _merge_run,
     _pred_of,
     compensate_expr,
-    compensate_pattern,
     lossless_prefixes,
     main_branch,
     unfold_expr,
@@ -70,12 +71,63 @@ class RewriteOutcome:
     candidates_examined: int = 0
     timings: dict = field(default_factory=dict)
     interleaving_fallbacks: int = 0  # prefixes whose fixpoint stayed a DAG
+    views_mapped: int = 0  # views that passed the main-branch screen
+    pairs_seen: int = 0  # (view, image) pairs over the examined prefixes
+    pairs_kept: int = 0  # of those, the least pairs, which the rules read first
+    least_pair_retries: int = 0  # prefixes whose rules reran on every pair
+
+
+def _signature(p: Pattern) -> tuple:
+    """The main-branch signature of a tree pattern: its root label, then a
+    ``(label, axis)`` per step."""
+    mb = main_branch(p)
+    return (p.label(mb[0]),) + tuple((p.label(b), p.axis(a, b)) for a, b in zip(mb, mb[1:]))
+
+
+def _signatures(views: ViewSet) -> list[tuple[str, Pattern, tuple]]:
+    """Each view with its signature, built on the first rewrite and kept
+    until the next ``define``."""
+    if views._signatures is None:
+        views._signatures = [(name, v, _signature(v)) for name, v in views.items()]
+    return views._signatures
+
+
+def _embeds(sig: tuple, target: tuple) -> bool:
+    """Whether a main-branch signature embeds in order into the ``target``
+    one: same root label, a / step onto the next step of the same label
+    and axis, a // step onto any later step of the same label.  Text tests
+    are not part of a signature."""
+    if sig[0] != target[0]:
+        return False
+    at = [0]  # the positions the steps so far can end on, ascending
+    for step in sig[1:]:
+        if step[1] == CHILD:
+            at = [j + 1 for j in at if j + 1 < len(target) and target[j + 1] == step]
+        else:
+            at = [j for j in range(at[0] + 1, len(target)) if target[j][0] == step[0]]
+        if not at:
+            return False
+    return True
 
 
 def _view_images(views: ViewSet, q: Pattern) -> list[tuple[str, list[int]]]:
-    """Each view with the images of its output under root-mappings into
-    ``q``."""
-    return [(name, root_mapping_out_images(v, q)) for name, v in views.items()]
+    """The views that may root-map into ``q``, in name order, each with the
+    images of its output under root-mappings into ``q``.
+
+    A root-mapping sends a view's main branch in order onto the main branch
+    of ``q``, so a view whose signature does not embed in ``q``'s has no
+    image and is left out; the others are mapped.  Views share signatures,
+    so each distinct one is tested once per call."""
+    target = _signature(q)
+    passed: dict[tuple, bool] = {}
+    images = []
+    for name, v, sig in _signatures(views):
+        ok = passed.get(sig)
+        if ok is None:
+            ok = passed[sig] = _embeds(sig, target)
+        if ok:
+            images.append((name, root_mapping_out_images(v, q)))
+    return images
 
 
 def _pairs_on(images: list[tuple[str, list[int]]], p: Pattern) -> list[tuple[str, int]]:
@@ -87,21 +139,17 @@ def _pairs_on(images: list[tuple[str, list[int]]], p: Pattern) -> list[tuple[str
     return [(name, b) for name, bs in images for b in bs if b in mbn]
 
 
-def _view_pairs(views: ViewSet, p: Pattern) -> list[tuple[str, int]]:
-    """(view, image) pairs: root-mappings of each view into the prefix."""
-    return _pairs_on(_view_images(views, p), p)
-
-
 def _compensated_head(name: str, p: Pattern, b: int) -> Expr:
     head = Path(name, (Step(name, CHILD),))
     return compensate_expr(head, p, b)
 
 
+def _intersection(branches: list[Expr]) -> Expr:
+    return branches[0] if len(branches) == 1 else Intersect(tuple(branches))
+
+
 def _plan_expr(pairs: list[tuple[str, int]], p: Pattern) -> Expr:
-    branches = tuple(_compensated_head(name, p, b) for name, b in pairs)
-    if len(branches) == 1:
-        return branches[0]
-    return Intersect(branches)
+    return _intersection([_compensated_head(name, p, b) for name, b in pairs])
 
 
 def _skeleton_views(views: ViewSet) -> ViewSet:
@@ -115,17 +163,6 @@ def _skeleton_views(views: ViewSet) -> ViewSet:
     return views._skeletons
 
 
-def best_comp(v: Pattern, p: Pattern) -> Pattern:
-    """The view compensated at its highest mapping image in ``p``; it is
-    contained in every other compensated version."""
-    images = root_mapping_out_images(v, p)
-    if not images:
-        raise ValueError("view does not map into the prefix")
-    depth = {n: i for i, n in enumerate(main_branch(p))}
-    top = min(images, key=lambda n: depth[n])
-    return compensate_pattern(v, p, top)
-
-
 def filter_prefixes_by_keys(
     prefixes: list[Pattern], key_targets: list[Pattern]
 ) -> list[Pattern]:
@@ -135,11 +172,6 @@ def filter_prefixes_by_keys(
         for p in prefixes
         if any(tree_contains(t, p) for t in key_targets)
     ]
-
-
-def _candidate_for_prefix(p: Pattern, pairs: list[tuple[str, int]], dag_views: ViewSet):
-    expr = _plan_expr(pairs, p)
-    return expr, unfold_expr(expr, dag_views)
 
 
 def _contained(d, p: Pattern, mode: str) -> tuple[bool, bool]:
@@ -163,6 +195,25 @@ def unfolding_contained(d, p: Pattern) -> bool:
     return _contained(apply_rules(d)[0], p, FULL)[0]
 
 
+def _least_pairs(heads: list[Expr], dag_views: ViewSet) -> list[int]:
+    """The positions of the least pairs, given their compensated heads in
+    pair order.  A head contained in another makes that one redundant in
+    the intersection (A ∩ B = A when A ⊑ B), so the least heads intersect
+    to the same nodes as all of them.  One sweep unfolds each head alone:
+    it is dropped when it contains a kept head, and otherwise replaces the
+    kept heads that contain it.  Among equivalent heads the first stays."""
+    if len(heads) < 2:
+        return list(range(len(heads)))
+    kept: list[tuple[int, Pattern]] = []
+    for i, head in enumerate(heads):
+        h = unfold_expr(head, dag_views)
+        if any(tree_contains(h, k) for _, k in kept):
+            continue
+        kept = [(j, k) for j, k in kept if not tree_contains(k, h)]
+        kept.append((i, h))
+    return [j for j, _ in kept]
+
+
 def rewrite_detailed(
     q: Pattern,
     views: ViewSet,
@@ -176,8 +227,19 @@ def rewrite_detailed(
     the rule engine and tests containment in the prefix.  In efficient
     mode the containment test runs only when the rules produced a tree.
 
+    Only views that pass ``_view_images``' main-branch screen are mapped
+    (``views_mapped``).  The decision reads only the least pairs of each
+    prefix (``_least_pairs``), whose heads intersect to the same nodes as
+    those of all pairs; the plan still lists every pair.  The rules are
+    syntax-sensitive, though: equivalent heads can differ in what they let
+    merge.  So when pairs were dropped and their fixpoint is still a DAG,
+    the rules run again on the unfolding of every pair
+    (``least_pair_retries``), and the decision is never weaker than on all
+    pairs.  ``trace`` is that of the fixpoint decided on.
+
     ``timings`` holds the whole search (``rewriteMs``) and three of its
-    phases: root-mapping images, the rule fixpoint and containment.
+    phases: root-mapping images, the rule fixpoint, and containment (the
+    least-pairs sweep and the final test).
     """
     t0 = time.perf_counter()
     q.validate()
@@ -191,28 +253,42 @@ def rewrite_detailed(
     t = time.perf_counter()
     images = _view_images(views, q)
     spent = {"mappingMs": time.perf_counter() - t, "rulesMs": 0.0, "containmentMs": 0.0}
-    examined = fallbacks = 0
+    counts = dict.fromkeys(
+        ("candidates_examined", "interleaving_fallbacks", "pairs_seen", "pairs_kept", "least_pair_retries"), 0
+    )
 
     def outcome(*args, **kw) -> RewriteOutcome:
         timings = {"rewriteMs": (time.perf_counter() - t0) * 1e3}
         timings.update((k, v * 1e3) for k, v in spent.items())
-        return RewriteOutcome(
-            *args, candidates_examined=examined, timings=timings, interleaving_fallbacks=fallbacks, **kw
-        )
+        return RewriteOutcome(*args, timings=timings, views_mapped=len(images), **counts, **kw)
+
+    def fixpoint(expr: Expr):
+        d = unfold_expr(expr, dag_views)
+        t = time.perf_counter()
+        res = apply_rules(d)
+        spent["rulesMs"] += time.perf_counter() - t
+        return res
 
     for p in prefixes:
         pairs = _pairs_on(images, p)
         if not pairs:
             continue
-        examined += 1
-        expr, d = _candidate_for_prefix(p, pairs, dag_views)
+        heads = [_compensated_head(name, p, b) for name, b in pairs]
         t = time.perf_counter()
-        d2, trace = apply_rules(d)
-        t1 = time.perf_counter()
-        ok, fell_back = _contained(d2, p, mode)
-        fallbacks += fell_back
-        spent["rulesMs"] += t1 - t
-        spent["containmentMs"] += time.perf_counter() - t1
+        kept = _least_pairs(heads, dag_views)
+        spent["containmentMs"] += time.perf_counter() - t
+        counts["candidates_examined"] += 1
+        counts["pairs_seen"] += len(pairs)
+        counts["pairs_kept"] += len(kept)
+        expr = _intersection(heads)
+        d, trace = fixpoint(_intersection([heads[i] for i in kept]))
+        if len(kept) < len(pairs) and d is not EMPTY and not d.is_tree():
+            counts["least_pair_retries"] += 1
+            d, trace = fixpoint(expr)
+        t = time.perf_counter()
+        ok, fell_back = _contained(d, p, mode)
+        counts["interleaving_fallbacks"] += fell_back
+        spent["containmentMs"] += time.perf_counter() - t
         if ok:
             plan_expr = compensate_expr(expr, q, p.out)
             return outcome(
@@ -248,8 +324,8 @@ def all_rewrites(
         pairs = _pairs_on(images, p)
         for size in range(1, min(len(pairs), max_views) + 1):
             for subset in combinations(pairs, size):
-                expr, d = _candidate_for_prefix(p, list(subset), views)
-                if unfolding_contained(d, p):
+                expr = _plan_expr(list(subset), p)
+                if unfolding_contained(unfold_expr(expr, views), p):
                     yield RewritePlan(compensate_expr(expr, q, p.out), views)
 
 
@@ -352,8 +428,8 @@ def build_rewrite_candidate(q: Pattern, views: ViewSet) -> Optional[RewritingGra
     root-mapping image of its output, then keep only what the view heads
     reach; fail when the query output is lost."""
     attach: dict[int, list[str]] = {}
-    for name, v in views.items():
-        for o in root_mapping_out_images(v, q):
+    for name, images in _view_images(views, q):
+        for o in images:
             attach.setdefault(o, []).append(name)
     if not attach:
         return None

@@ -13,7 +13,8 @@ import pytest
 
 from xpviews import EMPTY, Pattern, ViewSet, tree_from_text
 from xpviews.syntax import CHILD, DESC
-from xpviews.pattern import main_branch
+from xpviews.containment import root_mapping_out_images
+from xpviews.pattern import compensate_pattern, main_branch
 from xpviews.fragments import FragmentClass, classify
 
 
@@ -120,6 +121,31 @@ def random_dag_corpus(seed: int, count: int):
             continue
         made += 1
         yield es, d, parts
+
+
+def es_rewrite_instances(seed: int, count: int = 300):
+    """Acceptance criterion 5's rewriting instances: an extended-skeleton
+    query of main branch 2 to 5 with at most 8 lossless prefixes, and 1 to
+    4 views, each random or a generalization of the query."""
+    from xpviews.pattern import lossless_prefixes
+    from xpviews.workload import _generalize
+
+    labels = ("a", "b", "c", "d")
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        q = random_es_pattern(rng, mb_len=rng.randint(2, 5), labels=labels)
+        if len(lossless_prefixes(q)) > 8 + 1:
+            continue
+        views = ViewSet()
+        for i in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                v = random_tree_pattern(rng, mb_len=rng.randint(1, 4), labels=labels)
+            else:
+                v = _generalize(rng, q) or random_tree_pattern(rng, mb_len=2, labels=labels)
+            views.define(f"v{i}", v)
+        made += 1
+        yield q, views
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +267,47 @@ def pinned_out_images(src: Pattern, dst: Pattern) -> list[int]:
     return [
         x for x in sorted(dst.mb_nodes()) if _brute_search(src, dst, [(src.root, dst.root), (src.out, x)])
     ]
+
+
+# ---------------------------------------------------------------------------
+# rewriting oracles: every view mapped, every (view, image) pair decided on
+
+
+def view_pairs(views: ViewSet, p: Pattern) -> list[tuple[str, int]]:
+    """(view, image) pairs of a prefix: every view root-mapped into it, in
+    name order, its output images ascending."""
+    return [(name, b) for name, v in views.items() for b in root_mapping_out_images(v, p)]
+
+
+def best_comp(v: Pattern, p: Pattern) -> Pattern:
+    """The view compensated at its highest mapping image in ``p``; it is
+    contained in every other compensated version."""
+    images = root_mapping_out_images(v, p)
+    if not images:
+        raise ValueError("view does not map into the prefix")
+    depth = {n: i for i, n in enumerate(main_branch(p))}
+    top = min(images, key=lambda n: depth[n])
+    return compensate_pattern(v, p, top)
+
+
+def all_pairs_rewrite(q: Pattern, views: ViewSet, mode: str) -> tuple:
+    """(status, plan text, prefix index) of the prefix-driven search that
+    decides each prefix on the rule fixpoint of all its pairs, with no
+    screen and no least pairs."""
+    from xpviews.pattern import compensate_expr, lossless_prefixes, unfold_expr
+    from xpviews.rewrite import _contained, _plan_expr, _skeleton_views
+    from xpviews.rules import apply_rules
+    from xpviews.syntax import print_expr
+
+    dag_views = _skeleton_views(views) if classify(q) is FragmentClass.EXTENDED_SKELETON else views
+    for p in lossless_prefixes(q):
+        pairs = view_pairs(views, p)
+        if not pairs:
+            continue
+        expr = _plan_expr(pairs, p)
+        if _contained(apply_rules(unfold_expr(expr, dag_views))[0], p, mode)[0]:
+            return "rewritten", print_expr(compensate_expr(expr, q, p.out)), main_branch(q).index(p.out)
+    return "noRewriting", None, None
 
 
 def graft_models(p: Pattern, parts):

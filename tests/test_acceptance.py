@@ -45,10 +45,16 @@ from xpviews import (
 from xpviews.containment import CONTAINMENT, has_mapping
 from xpviews.documents import XmlTree
 from xpviews.pattern import canon_key, dag_intersect, lossless_prefixes, to_text
-from xpviews.rewrite import _plan_expr, _view_pairs
+from xpviews.rewrite import _plan_expr
 from xpviews.syntax import parse
 
-from conftest import random_dag_corpus, random_es_pattern, random_tree_pattern, two_branch_merges
+from conftest import (
+    es_rewrite_instances,
+    random_dag_corpus,
+    random_tree_pattern,
+    two_branch_merges,
+    view_pairs,
+)
 
 
 @contextmanager
@@ -229,7 +235,7 @@ def test_criterion_4_oracle_equivalence():
 
 def _brute_rewriting_exists(q, views) -> bool:
     for p in lossless_prefixes(q):
-        pairs = _view_pairs(views, p)
+        pairs = view_pairs(views, p)
         if not pairs:
             continue
         d = unfold_expr(_plan_expr(pairs, p), views)
@@ -245,24 +251,9 @@ def _brute_rewriting_exists(q, views) -> bool:
 
 def test_criterion_5_rewriting_completeness():
     with criterion(5, "300 ES instances: efficient matches the brute oracle"):
-        from xpviews.workload import _generalize
-
-        rng = random.Random(811)
         mismatches = 0
         made = 0
-        while made < 300:
-            q = random_es_pattern(rng, mb_len=rng.randint(2, 5), labels=("a", "b", "c", "d"))
-            if len(lossless_prefixes(q)) > 8 + 1:
-                continue
-            views = ViewSet()
-            for i in range(rng.randint(1, 4)):
-                if rng.random() < 0.5:
-                    v = random_tree_pattern(rng, mb_len=rng.randint(1, 4), labels=("a", "b", "c", "d"))
-                else:
-                    v = _generalize(rng, q) or random_tree_pattern(
-                        rng, mb_len=2, labels=("a", "b", "c", "d")
-                    )
-                views.define(f"v{i}", v)
+        for q, views in es_rewrite_instances(811):
             made += 1
             out = rewrite_detailed(q, views, EFFICIENT)
             if (out.plan is not None) != _brute_rewriting_exists(q, views):

@@ -93,6 +93,8 @@ def test_rewrite_eval_generate_roundtrip(tmp_path, capsys):
     assert set(doc["timings"]) == {"rewriteMs", *phases}
     assert 0 <= sum(doc["timings"][k] for k in phases) <= doc["timings"]["rewriteMs"]
     assert doc["interleavingFallbacks"] == 0
+    # v1's head is contained in v2's at the section prefix
+    assert (doc["viewsMapped"], doc["pairsSeen"], doc["pairsKept"], doc["leastPairRetries"]) == (2, 2, 1, 0)
 
     # negative decision exits 1
     vf2 = tmp_path / "none.txt"

@@ -18,11 +18,11 @@ from xpviews import (
 )
 from xpviews.fragments import FragmentClass, are_akin, classify, extended_skeleton
 from xpviews.pattern import lossless_prefixes, main_branch
-from xpviews.rewrite import _plan_expr, _view_pairs, _skeleton_views
+from xpviews.rewrite import _plan_expr, _skeleton_views
 from xpviews.syntax import parse
 from xpviews.workload import _generalize
 
-from conftest import brute_embeddings, random_es_pattern, random_tree_pattern
+from conftest import brute_embeddings, random_es_pattern, random_tree_pattern, view_pairs
 
 Q10 = 'doc("L")/lib//paper//section[theorem]//figure/image'
 V10 = {
@@ -73,7 +73,7 @@ def test_skeleton_reduction_preserves_rewriting_existence():
     # views iff one exists with their extended skeletons
     def brute_exists(q, views):
         for p in lossless_prefixes(q):
-            pairs = _view_pairs(views, p)
+            pairs = view_pairs(views, p)
             if not pairs:
                 continue
             d = unfold_expr(_plan_expr(pairs, p), views)
@@ -117,7 +117,7 @@ def test_akin_plan_completeness():
         # existence through the exponential oracle
         exists = False
         for p in lossless_prefixes(q):
-            pairs = _view_pairs(views, p)
+            pairs = view_pairs(views, p)
             if not pairs:
                 continue
             d = unfold_expr(_plan_expr(pairs, p), views)

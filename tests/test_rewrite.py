@@ -9,7 +9,6 @@ from xpviews import (
     TreeGenConfig,
     ViewSet,
     all_rewrites,
-    best_comp,
     build_rewrite_candidate,
     dag_contained_in_dag,
     dag_contained_in_tree,
@@ -38,11 +37,18 @@ from xpviews.pattern import (
     main_branch,
     to_text,
 )
-from xpviews.rewrite import _pairs_on, _skeleton_views, _view_images, _view_pairs
+from xpviews.rewrite import _pairs_on, _skeleton_views, _view_images
 from xpviews.syntax import parse, print_expr
 from xpviews.workload import CATEGORIES
 
-from conftest import pinned_out_images, random_tree_pattern
+from conftest import (
+    all_pairs_rewrite,
+    best_comp,
+    es_rewrite_instances,
+    pinned_out_images,
+    random_tree_pattern,
+    view_pairs,
+)
 
 V10 = {
     "v1": 'doc("L")//paper//section',
@@ -274,8 +280,59 @@ def test_one_pass_images_match_pinned_search():
                 assert got == pinned_out_images(v, p), (to_text(q), name, to_text(p))
                 sizes[min(len(got), 2)] += 1
             # images into the query, kept where they lie on the prefix
-            assert _pairs_on(images, p) == _view_pairs(views, p)
+            assert _pairs_on(images, p) == view_pairs(views, p)
     assert sizes[1] >= 400 and sizes[2] >= 100
+
+
+def _screen_cases():
+    yield from _image_cases()
+    # views as long as the query, over two root labels, so that the
+    # screen's root, / and // tests all reject
+    rng = random.Random(23)
+    for _ in range(150):
+        q = random_tree_pattern(rng, mb_len=rng.randint(2, 5), labels=("a", "b"), pred_prob=0.5)
+        views = ViewSet(
+            {
+                f"v{i}": _with_tests(
+                    rng,
+                    random_tree_pattern(
+                        rng,
+                        mb_len=rng.randint(1, 5),
+                        labels=("a", "b"),
+                        dd_prob=rng.random(),
+                        root_label=rng.choice(("L", "L", "M")),
+                    ),
+                )
+                for i in range(8)
+            }
+        )
+        yield views, _with_tests(rng, q)
+
+
+def test_screen_keeps_every_view_with_an_image():
+    screened = mapped = 0
+    for views, q in _screen_cases():
+        for p in [q] + lossless_prefixes(q):
+            images = _view_images(views, p)
+            every = [(name, root_mapping_out_images(v, p)) for name, v in views.items()]
+            assert [e for e in images if e[1]] == [e for e in every if e[1]], to_text(p)
+            assert [name for name, _ in images] == sorted(name for name, _ in images)
+            screened += len(views) - len(images)
+            mapped += sum(bool(bs) for _, bs in every)
+    assert screened >= 10000 and mapped >= 1000
+
+
+def test_signatures_are_built_on_first_rewrite_and_dropped_by_define():
+    vs = ViewSet.from_texts({"v1": 'doc("L")//a/b', "v2": 'doc("L")/b'})
+    q = tree_from_text('doc("L")/a/b/c')
+    assert vs._signatures is None
+    assert _view_images(vs, q) == [("v1", [q.out - 1])]
+    first = vs._signatures
+    _view_images(vs, q)
+    assert vs._signatures is first
+    vs.define("v3", tree_from_text('doc("L")//b/c'))
+    assert vs._signatures is None
+    assert [name for name, _ in _view_images(vs, q)] == ["v1", "v3"]
 
 
 def test_images_need_a_tree_source():
@@ -299,6 +356,50 @@ def test_outcome_reports_phase_timings():
     assert set(t) == {"rewriteMs", "mappingMs", "rulesMs", "containmentMs"}
     assert min(t.values()) >= 0
     assert t["mappingMs"] + t["rulesMs"] + t["containmentMs"] <= t["rewriteMs"]
+
+
+def test_outcome_reports_screen_and_least_pairs():
+    # w's main branch does not embed in the query's.  At the section prefix
+    # the second head (v1's) is contained in the first (v0's) and replaces
+    # it, so the rules see v1 alone, while the plan keeps both.
+    views = ViewSet.from_texts(
+        {"v0": V10["v2"], "v1": V10["v1"], "w": 'doc("L")/zz//section'}
+    )
+    out = rewrite_detailed(tree_from_text(QSUB), views, FULL)
+    assert out.plan.text.count("doc(") == 2 and out.prefix_index == 2
+    assert (out.views_mapped, out.pairs_seen, out.pairs_kept, out.least_pair_retries) == (2, 2, 1, 0)
+
+
+def test_least_pairs_rerun_the_rules_on_every_pair():
+    # At the prefix ending at d, u0's and u1's compensated heads are
+    # equivalent and the sweep keeps u0's.  Only u1's a[d//a] lets the rules
+    # merge with u2's, so on the least pairs the fixpoint stays a DAG; the
+    # rules run again on all three pairs and reach a tree.
+    views = ViewSet.from_texts(
+        {
+            "u0": 'doc("L")//e//a/d',
+            "u1": 'doc("L")//e//a[d//a]/d[a][.//c]',
+            "u2": 'doc("L")//e[c="y"]//a[d//a]//d[.//c]',
+        }
+    )
+    q = tree_from_text('doc("L")//e[c="y"]//a[d//a]/d[a][.//c]')
+    out = rewrite_detailed(q, views, EFFICIENT)
+    assert out.status == "rewritten" and out.prefix_index == 3
+    assert out.plan.text == 'doc("u0")/u0[a][.//c] & doc("u1")/u1[a][.//c] & doc("u2")/u2[a][.//c]'
+    assert (out.pairs_seen, out.pairs_kept, out.least_pair_retries) == (3, 2, 1)
+    assert all_pairs_rewrite(q, views, EFFICIENT) == (out.status, out.plan.text, out.prefix_index)
+
+
+@pytest.mark.parametrize("seed", [811, 7, 99])
+def test_least_pairs_decide_like_every_pair(seed):
+    dropped = 0
+    for q, views in es_rewrite_instances(seed):
+        for mode in (EFFICIENT, FULL):
+            out = rewrite_detailed(q, views, mode)
+            got = (out.status, out.plan.text if out.plan else None, out.prefix_index)
+            assert got == all_pairs_rewrite(q, views, mode), (to_text(q), mode)
+            dropped += out.pairs_seen - out.pairs_kept
+    assert dropped >= 50
 
 
 # -- nested plans --------------------------------------------------------------
