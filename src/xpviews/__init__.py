@@ -6,13 +6,10 @@ from .syntax import Dialect, DialectError, XPathSyntaxError, parse, print_expr
 from .pattern import (
     EMPTY,
     CapExceeded,
-    LabelMismatch,
     NotMainBranch,
     Pattern,
-    Token,
     UnknownView,
     ViewSet,
-    collapse,
     compensate_expr,
     compensate_pattern,
     dag_from_expr,
@@ -22,7 +19,6 @@ from .pattern import (
     pattern_to_json,
     subpattern_at,
     to_text,
-    tokens,
     tree_from_ast,
     tree_from_text,
     unfold_expr,
@@ -32,8 +28,6 @@ from .documents import (
     UnsupportedXml,
     ViewDocument,
     XmlTree,
-    canonical_model,
-    canonical_model_with_output,
     eval_dag_pattern,
     eval_plan,
     eval_tree_pattern,
@@ -44,13 +38,9 @@ from .documents import (
     print_xml,
 )
 from .containment import (
-    contains_by_canonical_model,
-    dag_contained_in_dag,
     dag_contained_in_tree,
-    equivalent,
     has_mapping,
     minimize,
-    tree_contained_in_dag,
     tree_contains,
 )
 from .interleaving import (
@@ -69,11 +59,12 @@ from .rewrite import (
     RewritingGraph,
     all_rewrites,
     build_rewrite_candidate,
+    contains,
+    equivalent,
     filter_prefixes_by_keys,
     nested_rewrite,
     rewrite,
     rewrite_detailed,
-    unfolding_contained,
 )
 from .workload import BenchReport, GenConfig, GenerationTimeout, bench, generate_workload
 

@@ -22,7 +22,7 @@ from .pattern import (
     to_text,
     tree_from_text,
 )
-from .containment import minimize, tree_contains, equivalent
+from .containment import minimize
 from .documents import (
     eval_plan,
     eval_tree_pattern,
@@ -36,6 +36,8 @@ from .rewrite import (
     EFFICIENT,
     FULL,
     all_rewrites,
+    contains,
+    equivalent,
     nested_rewrite,
     rewrite_detailed,
 )
@@ -85,7 +87,7 @@ def cmd_print(args) -> int:
 def cmd_contains(args) -> int:
     p1 = tree_from_text(_read_expr_arg(args.container))
     p2 = tree_from_text(_read_expr_arg(args.containee))
-    res = tree_contains(p1, p2)
+    res = contains(p1, p2)
     print("true" if res else "false")
     return OK if res else NEGATIVE
 

@@ -6,7 +6,8 @@ DAG likewise.  Whether a mapping exists is decided without search: by
 bottom-up feasibility sets for a tree source, and for a DAG source (into a
 tree) by arc consistency over those sets along the source's main branch.
 Containment of a DAG into a tree goes through interleavings and is
-exponential by design.
+exponential by design; ``rewrite.contains``, the one containment
+decision, calls it only when the rule fixpoint stays a DAG.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import deque
 from typing import Optional
 
 from .syntax import CHILD
-from .pattern import EMPTY, Pattern, canon_key
+from .pattern import EMPTY, Pattern
 
 MAPPING = "mapping"
 ROOT_MAPPING = "root-mapping"
@@ -147,7 +148,8 @@ def root_mapping_out_images(src: Pattern, dst: Pattern) -> list[int]:
 
 
 def tree_contains(p1: Pattern, p2: Pattern) -> bool:
-    """p2 ⊑ p1 for tree patterns (containment-mapping criterion)."""
+    """p2 ⊑ p1 for a tree ``p2``, by one containment mapping from ``p1``,
+    which may be a tree, a DAG or EMPTY."""
     if p2 is EMPTY:
         return True
     if p1 is EMPTY:
@@ -155,17 +157,9 @@ def tree_contains(p1: Pattern, p2: Pattern) -> bool:
     return has_mapping(p1, p2, CONTAINMENT)
 
 
-def tree_contained_in_dag(p: Pattern, d) -> bool:
-    """p ⊑ d: a containment mapping from the DAG into the tree decides it."""
-    if p is EMPTY:
-        return True
-    if d is EMPTY:
-        return False
-    return has_mapping(d, p, CONTAINMENT)
-
-
 def dag_contained_in_tree(d, p: Pattern) -> bool:
-    """d ⊑ p: every interleaving of ``d`` is contained in ``p``."""
+    """d ⊑ p: every interleaving of ``d`` is contained in ``p``, which may
+    be a tree, a DAG or EMPTY."""
     from .interleaving import interleavings
 
     if d is EMPTY:
@@ -174,28 +168,6 @@ def dag_contained_in_tree(d, p: Pattern) -> bool:
         if not tree_contains(p, i.pattern):
             return False
     return True
-
-
-def dag_contained_in_dag(d1, d2) -> bool:
-    """d1 ⊑ d2 via interleavings of the left side."""
-    from .interleaving import interleavings, is_satisfiable
-
-    if d1 is EMPTY:
-        return True
-    if d2 is EMPTY:
-        return not is_satisfiable(d1)
-    for i in interleavings(d1):
-        if not has_mapping(d2, i.pattern, CONTAINMENT):
-            return False
-    return True
-
-
-def contains_by_canonical_model(p1: Pattern, p2: Pattern) -> bool:
-    """Containment oracle: evaluate p1 on the canonical model of p2."""
-    from .documents import canonical_model_with_output, eval_tree_pattern
-
-    t, out_img = canonical_model_with_output(p2)
-    return out_img in eval_tree_pattern(p1, t)
 
 
 def _subtree_sizes(p: Pattern) -> dict[int, int]:
@@ -230,10 +202,3 @@ def minimize(p: Pattern) -> Pattern:
                 break
         else:
             return cur
-
-
-def equivalent(p1: Pattern, p2: Pattern) -> bool:
-    """Tree-pattern equivalence: isomorphic after minimization."""
-    if p1 is not EMPTY and p2 is not EMPTY and p1.is_tree() and p2.is_tree():
-        return canon_key(minimize(p1)) == canon_key(minimize(p2))
-    return dag_contained_in_dag(p1, p2) and dag_contained_in_dag(p2, p1)

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .syntax import CHILD, DESC, Compensated, Expr, Intersect, Path, Pred, Step
+from .syntax import CHILD, Compensated, Expr, Intersect, Path, Pred, Step
 from .pattern import EMPTY, Pattern, UnknownView, ViewSet, _graft_pred, _graft_steps, main_branch
 from .containment import _arc_consistent
 
@@ -615,30 +615,6 @@ class _Navigation:
         for y in path:
             memo[y] = got
         return got
-
-
-# ---------------------------------------------------------------------------
-# canonical models
-
-
-def canonical_model(p: Pattern, z: str = "zz_fresh") -> XmlTree:
-    """Tree obtained from ``p`` by expanding each //-edge into /z/ steps."""
-    tree, _ = canonical_model_with_output(p, z)
-    return tree
-
-
-def canonical_model_with_output(p: Pattern, z: str = "zz_fresh") -> tuple[XmlTree, int]:
-    t = XmlTree()
-    images: dict[int, int] = {}
-    order = p.topo_order()
-    images[p.root] = t.add_node(p.label(p.root), None, p.test(p.root) or "")
-    for n in order:
-        for b, k in p.out_edges(n):
-            at = images[n]
-            if k == DESC:
-                at = t.add_node(z, at)
-            images[b] = t.add_node(p.label(b), at, p.test(b) or "")
-    return t, images[p.out]
 
 
 # ---------------------------------------------------------------------------

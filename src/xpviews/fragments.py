@@ -118,13 +118,8 @@ def added_pred_keeps_es(d: Pattern, n: int, q_root: int) -> bool:
     )
 
 
-def root_token_code(p: Pattern) -> tuple[str, ...]:
-    from .pattern import tokens
-
-    return tokens(p)[0].labels(p)
-
-
 def are_akin(ps: list[Pattern]) -> bool:
-    """Tree patterns whose root tokens share one main-branch code."""
-    codes = {root_token_code(p) for p in ps}
+    """Tree patterns whose root tokens (main-branch /-runs from the root)
+    share one label code."""
+    codes = {tuple(p.label(n) for n in (p.root, *slash_run(p, p.root))) for p in ps}
     return len(codes) <= 1

@@ -41,10 +41,6 @@ class NotMainBranch(ValueError):
     """Operation requires a main-branch node."""
 
 
-class LabelMismatch(ValueError):
-    """Collapse requires equal labels."""
-
-
 class CapExceeded(RuntimeError):
     """A rule fixpoint or an interleaving enumeration exceeded its bound."""
 
@@ -101,7 +97,7 @@ class Pattern:
     def add_edge(self, src: int, dst: int, axis: str) -> None:
         # Adding a / edge next to a // edge of the same pair (dag
         # construction) keeps both triples; callers that must normalize use
-        # collapse or the rule engine.
+        # the rule engine.
         self.edges.add((src, dst, axis))
         self._dirty()
 
@@ -450,20 +446,6 @@ def _merge_run(p: Pattern, pairs: Iterable[tuple[int, int]], merge=_merge_nodes)
     return res
 
 
-def collapse(d: Pattern, n1: int, n2: int) -> Pattern:
-    """Merge two equally-labeled nodes; identity when ``n1 == n2``."""
-    if n1 == n2:
-        return d
-    if d.label(n1) != d.label(n2):
-        raise LabelMismatch(f"{d.label(n1)} != {d.label(n2)}")
-    if d.reaches(n1, n2) or d.reaches(n2, n1):
-        raise ValueError("cannot collapse comparable nodes")
-    p = d.clone()
-    keep, gone = min(n1, n2), max(n1, n2)
-    _merge_nodes(p, keep, gone)
-    return p
-
-
 def dag_intersect(parts: list[Pattern]):
     """Coalesce roots and outputs of the given patterns (the ∩ operator)."""
     parts = [q for q in parts]
@@ -563,39 +545,6 @@ def slash_run(p: Pattern, n: int, down: bool = True, avoid: frozenset[int] = fro
             return
         n = nxt[0]
         yield n
-
-
-@dataclass(frozen=True)
-class Token:
-    """Maximal /-connected segment of a main branch."""
-
-    nodes: tuple[int, ...]
-    position: str  # 'root' | 'intermediary' | 'result'
-
-    def labels(self, p: Pattern) -> tuple[str, ...]:
-        return tuple(p.label(n) for n in self.nodes)
-
-
-def tokens(p: Pattern) -> list[Token]:
-    mb = main_branch(p)
-    groups: list[list[int]] = [[mb[0]]]
-    for prev, cur in zip(mb, mb[1:]):
-        if p.axis(prev, cur) == CHILD:
-            groups[-1].append(cur)
-        else:
-            groups.append([cur])
-    toks = []
-    for i, g in enumerate(groups):
-        if i == 0:
-            pos = "root"
-        elif i == len(groups) - 1:
-            pos = "result"
-        else:
-            pos = "intermediary"
-        toks.append(Token(tuple(g), pos))
-    if len(toks) == 1:
-        toks[0] = Token(toks[0].nodes, "root")
-    return toks
 
 
 def _subpattern_with_map(d: Pattern, n: int) -> tuple[Pattern, dict[int, int]]:

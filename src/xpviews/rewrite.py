@@ -25,14 +25,13 @@ from .pattern import (
     _merge_run,
     _pred_of,
     compensate_expr,
+    dag_intersect,
     lossless_prefixes,
     main_branch,
     unfold_expr,
 )
 from .containment import (
-    CONTAINMENT,
     dag_contained_in_tree,
-    has_mapping,
     minimize,
     root_mapping_out_images,
     tree_contains,
@@ -174,11 +173,12 @@ def filter_prefixes_by_keys(
     ]
 
 
-def _contained(d, p: Pattern, mode: str) -> tuple[bool, bool]:
-    """Whether the rule-normalized unfolding ``d`` lies in the tree ``p``:
-    a tree by a containment mapping, a DAG by its interleavings.  The rules
-    preserve equivalence, so this is exact; efficient mode rejects DAGs.
-    The second value says whether interleavings were enumerated."""
+def _contained(d, p, mode: str) -> tuple[bool, bool]:
+    """Whether the rule fixpoint ``d`` lies in ``p`` (a tree, a DAG or
+    EMPTY): a tree by a containment mapping, a DAG by its interleavings.
+    The rules preserve equivalence, so this is exact; efficient mode
+    rejects DAGs.  The second value says whether interleavings were
+    enumerated."""
     if d is EMPTY:
         return True, False
     if d.is_tree():
@@ -189,29 +189,40 @@ def _contained(d, p: Pattern, mode: str) -> tuple[bool, bool]:
     return dag_contained_in_tree(d, p), True
 
 
-def unfolding_contained(d, p: Pattern) -> bool:
-    """d ⊑ p for a DAG ``d`` and a tree ``p``: the rule fixpoint first,
-    interleavings only when that fixpoint is still a DAG."""
-    return _contained(apply_rules(d)[0], p, FULL)[0]
+def contains(p1, p2) -> bool:
+    """p2 ⊑ p1, for EMPTY, tree or DAG patterns on either side.
+
+    A tree ``p2`` is decided by one containment mapping from ``p1``.  A DAG
+    goes through the rule fixpoint first, which preserves equivalence, and
+    its interleavings are enumerated only when that fixpoint stays a DAG.
+    Containment mappings are complete for this wildcard-free fragment
+    (Miklau and Suciu, JACM 2004), so the decision is exact."""
+    if p2 is not EMPTY and not p2.is_tree():
+        p2 = apply_rules(p2)[0]
+    return _contained(p2, p1, FULL)[0]
 
 
-def _least_pairs(heads: list[Expr], dag_views: ViewSet) -> list[int]:
-    """The positions of the least pairs, given their compensated heads in
-    pair order.  A head contained in another makes that one redundant in
-    the intersection (A ∩ B = A when A ⊑ B), so the least heads intersect
-    to the same nodes as all of them.  One sweep unfolds each head alone:
-    it is dropped when it contains a kept head, and otherwise replaces the
-    kept heads that contain it.  Among equivalent heads the first stays."""
-    if len(heads) < 2:
-        return list(range(len(heads)))
-    kept: list[tuple[int, Pattern]] = []
-    for i, head in enumerate(heads):
-        h = unfold_expr(head, dag_views)
-        if any(tree_contains(h, k) for _, k in kept):
+def equivalent(p1, p2) -> bool:
+    """Whether ``p1`` and ``p2`` denote the same nodes: each contains the
+    other."""
+    return contains(p1, p2) and contains(p2, p1)
+
+
+def _least_pairs(units: list[Pattern]) -> list[int]:
+    """The positions of the least pairs, given the unfoldings of their
+    compensated heads in pair order.  A head contained in another makes
+    that one redundant in the intersection (A ∩ B = A when A ⊑ B), so the
+    least heads intersect to the same nodes as all of them.  One sweep
+    drops a head when it contains a kept head, and otherwise lets it
+    replace the kept heads that contain it.  Among equivalent heads the
+    first stays."""
+    kept: list[int] = []
+    for i, h in enumerate(units):
+        if any(tree_contains(h, units[j]) for j in kept):
             continue
-        kept = [(j, k) for j, k in kept if not tree_contains(k, h)]
-        kept.append((i, h))
-    return [j for j, _ in kept]
+        kept = [j for j in kept if not tree_contains(units[j], h)]
+        kept.append(i)
+    return kept
 
 
 def rewrite_detailed(
@@ -262,8 +273,9 @@ def rewrite_detailed(
         timings.update((k, v * 1e3) for k, v in spent.items())
         return RewriteOutcome(*args, timings=timings, views_mapped=len(images), **counts, **kw)
 
-    def fixpoint(expr: Expr):
-        d = unfold_expr(expr, dag_views)
+    def fixpoint(units: list[Pattern]):
+        # apply_rules works on a copy, so a lone unfolding needs none
+        d = units[0] if len(units) == 1 else dag_intersect(units)
         t = time.perf_counter()
         res = apply_rules(d)
         spent["rulesMs"] += time.perf_counter() - t
@@ -274,23 +286,23 @@ def rewrite_detailed(
         if not pairs:
             continue
         heads = [_compensated_head(name, p, b) for name, b in pairs]
+        units = [unfold_expr(h, dag_views) for h in heads]
         t = time.perf_counter()
-        kept = _least_pairs(heads, dag_views)
+        kept = _least_pairs(units)
         spent["containmentMs"] += time.perf_counter() - t
         counts["candidates_examined"] += 1
         counts["pairs_seen"] += len(pairs)
         counts["pairs_kept"] += len(kept)
-        expr = _intersection(heads)
-        d, trace = fixpoint(_intersection([heads[i] for i in kept]))
+        d, trace = fixpoint([units[i] for i in kept])
         if len(kept) < len(pairs) and d is not EMPTY and not d.is_tree():
             counts["least_pair_retries"] += 1
-            d, trace = fixpoint(expr)
+            d, trace = fixpoint(units)
         t = time.perf_counter()
         ok, fell_back = _contained(d, p, mode)
         counts["interleaving_fallbacks"] += fell_back
         spent["containmentMs"] += time.perf_counter() - t
         if ok:
-            plan_expr = compensate_expr(expr, q, p.out)
+            plan_expr = compensate_expr(_intersection(heads), q, p.out)
             return outcome(
                 RewritePlan(plan_expr, views),
                 "rewritten",
@@ -316,16 +328,17 @@ def all_rewrites(
     (smallest subsets first, capped at ``max_views`` views)."""
     from itertools import combinations
 
-    if minimize(q).size() != q.size():
+    m = minimize(q)
+    if m.size() != q.size():
         log.warning("all_rewrites: query is not minimal; minimizing")
-        q = minimize(q)
+        q = m
     images = _view_images(views, q)
     for p in lossless_prefixes(q):
         pairs = _pairs_on(images, p)
         for size in range(1, min(len(pairs), max_views) + 1):
             for subset in combinations(pairs, size):
                 expr = _plan_expr(list(subset), p)
-                if unfolding_contained(unfold_expr(expr, views), p):
+                if contains(p, unfold_expr(expr, views)):
                     yield RewritePlan(compensate_expr(expr, q, p.out), views)
 
 
@@ -455,8 +468,5 @@ def nested_rewrite(q: Pattern, views: ViewSet) -> Optional[RewritingGraph]:
     cand = build_rewrite_candidate(q, views)
     if cand is None:
         return None
-    d = cand.unfold()
-    # q ⊑ unfold via a containment mapping; unfold ⊑ q via the rule fixpoint
-    if not has_mapping(d, q, CONTAINMENT) or not unfolding_contained(d, q):
-        return None
-    return cand
+    # q ⊑ unfold by a containment mapping; unfold ⊑ q by the rule fixpoint
+    return cand if equivalent(cand.unfold(), q) else None

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .syntax import CHILD, DESC
 from .pattern import CapExceeded, Pattern, ViewSet, lossless_prefixes, main_branch
-from .containment import equivalent, has_mapping, ROOT_MAPPING
+from .containment import has_mapping, ROOT_MAPPING
 from .documents import (
     TreeGenConfig,
     XmlTree,
@@ -27,7 +27,7 @@ from .documents import (
     eval_plan,
 )
 from .fragments import FragmentClass, classify
-from .rewrite import EFFICIENT, rewrite_detailed
+from .rewrite import EFFICIENT, equivalent, rewrite_detailed
 
 
 class GenerationTimeout(RuntimeError):

@@ -1,17 +1,19 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from xpviews import (
     EMPTY,
+    GenConfig,
     apply_rules,
-    dag_contained_in_dag,
+    contains,
     dag_from_expr,
     equivalent,
+    generate_workload,
     has_mapping,
     minimize,
-    tree_contained_in_dag,
     tree_contains,
     tree_from_text,
     unfold_expr,
@@ -21,15 +23,23 @@ from xpviews.containment import (
     CONTAINMENT,
     MAPPING,
     ROOT_MAPPING,
-    contains_by_canonical_model,
     dag_contained_in_tree,
     root_mapping_out_images,
 )
 from xpviews.interleaving import first_interleaving, interleavings
-from xpviews.pattern import canon_key, compensate_pattern, dag_intersect, lossless_prefixes, main_branch
+from xpviews.pattern import canon_key, compensate_pattern, dag_intersect, lossless_prefixes, main_branch, tp_of_path
 from xpviews.syntax import parse
 
-from conftest import brute_mapping, random_dag_corpus, random_mb_dag, random_tree_pattern
+from conftest import (
+    alarm,
+    brute_mapping,
+    contains_by_canonical_model,
+    dag_contained_in_dag,
+    equivalent_by_minimization,
+    random_dag_corpus,
+    random_mb_dag,
+    random_tree_pattern,
+)
 
 V1 = 'doc("L")//paper//section'
 V2 = 'doc("L")//section[theorem]'
@@ -131,9 +141,9 @@ def test_tree_contained_in_dag_via_containment_mapping():
     views = ViewSet.from_texts({"v1": V1, "v2": V2})
     d = unfold_expr(parse('doc("v1")/v1 & doc("v2")/v2'), views)
     q = tree_from_text('doc("L")//paper//section[theorem]')
-    assert tree_contained_in_dag(q, d)
+    assert contains(d, q)
     weaker = tree_from_text('doc("L")//paper//section')
-    assert not tree_contained_in_dag(weaker, d)
+    assert not contains(d, weaker)
 
 
 def test_dag_contained_in_tree_cases():
@@ -144,8 +154,6 @@ def test_dag_contained_in_tree_cases():
     assert prefix.label(prefix.out) == "section"
     v1c = compensate_pattern(views["v1"], prefix, prefix.out)
     v2c = compensate_pattern(views["v2"], prefix, prefix.out)
-    from xpviews.pattern import dag_intersect
-
     d = dag_intersect([v1c, v2c])
     assert dag_contained_in_tree(d, prefix)
     # a tree reduces to plain containment
@@ -226,3 +234,85 @@ def test_unsatisfiable_dags_are_equivalent_to_empty():
     # a satisfiable pattern is not empty
     tree = tree_from_text('doc("L")//a/c')
     assert not dag_contained_in_dag(tree, EMPTY) and not equivalent(tree, EMPTY)
+
+
+def _equivalence_cases():
+    """Pairs on which ``equivalent`` is held to ``equivalent_by_minimization``:
+    generated views and prefixes against the query's prefixes, random tree
+    pairs, each random tree against its minimization, and corpus DAGs
+    against their branches and EMPTY, both ways."""
+    for seed in range(1, 11):
+        for category in ("es", "slashslash", "full"):
+            _, q, views = generate_workload(GenConfig(seed=seed, category=category, main_branch_size=4))
+            prefixes = lossless_prefixes(q)
+            for p in prefixes:
+                for other in [v for _, v in views.items()] + prefixes:
+                    yield other, p
+    rng = random.Random(4242)
+    trees = [random_tree_pattern(rng, mb_len=rng.randint(1, 4), pred_prob=0.6) for _ in range(120)]
+    for a, b in zip(trees, trees[1:]):
+        yield a, b
+        yield b, a
+    for a in trees:
+        m = minimize(a)
+        yield a, m
+        yield m, a
+    for _, d, parts in random_dag_corpus(20240811, 60):
+        for b in parts + [EMPTY]:
+            yield d, b
+            yield b, d
+
+
+def test_equivalent_agrees_with_minimization_oracle():
+    seen = positive = 0
+    for p1, p2 in _equivalence_cases():
+        got = equivalent(p1, p2)
+        assert got == equivalent_by_minimization(p1, p2)
+        seen += 1
+        positive += got
+    assert seen > 6000 and positive > 400
+
+
+def _shape(p) -> str:
+    return "EMPTY" if p is EMPTY else "tree" if p.is_tree() else "DAG"
+
+
+def _raw_contains(p1, p2) -> bool:
+    """p2 ⊑ p1 by the raw interleavings of ``p2`` and an exhaustive search
+    for a containment mapping from ``p1`` into each."""
+    if p2 is EMPTY:
+        return True
+    trees = [p2] if p2.is_tree() else [i.pattern for i in interleavings(p2)]
+    return all(brute_mapping(p1, t, CONTAINMENT) for t in trees)
+
+
+def test_contains_on_every_pairing_of_shapes():
+    # each corpus DAG with its branches, their first two intersected, EMPTY,
+    # an unsatisfiable DAG and a random tree, every ordered pair
+    unsat = dag_intersect([tree_from_text('doc("L")//a/c'), tree_from_text('doc("L")//b/c')])
+    rng = random.Random(17)
+    seen: dict[tuple, set] = {}
+    for _, d, parts in random_dag_corpus(99, 40):
+        tree = random_tree_pattern(rng, mb_len=rng.randint(1, 3), out_label=d.label(d.out))
+        group = [d, *parts, dag_intersect(parts[:2]), EMPTY, unsat, tree]
+        for p1, p2 in itertools.product(group, repeat=2):
+            got = contains(p1, p2)
+            assert got == _raw_contains(p1, p2) == dag_contained_in_dag(p2, p1), (_shape(p1), _shape(p2))
+            seen.setdefault((_shape(p1), _shape(p2)), set()).add(got)
+    shapes = ("EMPTY", "tree", "DAG")
+    assert set(seen) == set(itertools.product(shapes, repeat=2))
+    # both answers occur wherever both are possible: a tree is never empty
+    for (s1, s2), answers in seen.items():
+        assert answers == ({False} if (s1, s2) == ("EMPTY", "tree") else {True} if s2 == "EMPTY" else {True, False})
+
+
+def test_deep_chain_equivalence_is_fast():
+    # the pattern and its copy through tp_of_path are equivalent; comparing
+    # minimized forms took seconds at 200 nodes and minutes at 2,000
+    p = tree_from_text('doc("L")/a[' + "/".join(["b"] * 300) + "]")
+    copy = tp_of_path(p, main_branch(p))
+    with alarm(20):
+        t0 = time.perf_counter()
+        assert equivalent(p, copy)
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"equivalent took {elapsed:.2f} s"

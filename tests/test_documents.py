@@ -7,8 +7,6 @@ from xpviews import (
     EMPTY,
     TreeGenConfig,
     ViewSet,
-    canonical_model,
-    canonical_model_with_output,
     dag_from_expr,
     eval_dag_pattern,
     eval_plan,
@@ -25,7 +23,14 @@ from xpviews.documents import UnsupportedXml, _embed, _steps_pattern
 from xpviews.pattern import main_branch
 from xpviews.syntax import CHILD, DESC, Compensated, Intersect, Path, Pred, Step, parse, print_expr
 
-from conftest import brute_eval, graft_models, random_dag_corpus, random_tree_pattern
+from conftest import (
+    brute_eval,
+    canonical_model,
+    canonical_model_with_output,
+    graft_models,
+    random_dag_corpus,
+    random_tree_pattern,
+)
 
 V10 = {
     "v1": 'doc("L")//paper//section',

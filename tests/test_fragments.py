@@ -90,3 +90,12 @@ def test_akin_examples():
     w3 = tree_from_text('doc("L")/lib//x')
     assert are_akin([w1, w2])
     assert not are_akin([w1, w3])
+
+
+def test_root_token_is_the_main_branch_slash_run_from_the_root():
+    # a /-predicate is not part of the root token, and a whole /-branch is
+    # one token up to the output
+    assert are_akin([tree_from_text('doc("L")/a[b]/c'), tree_from_text('doc("L")/a/c[.//d]')])
+    assert are_akin([tree_from_text('doc("L")/a/b/c'), tree_from_text('doc("L")/a/b/c[d]')])
+    assert not are_akin([tree_from_text('doc("L")/a/b/c'), tree_from_text('doc("L")/a/b//c')])
+    assert not are_akin([tree_from_text('doc("L")/a/b'), tree_from_text('doc("L")/a[b]//b')])

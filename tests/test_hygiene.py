@@ -7,6 +7,7 @@ package's public names.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,25 @@ def test_private_functions_are_used():
         used |= _names(ast.parse(path.read_text()))
     unused = sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
     assert not unused, f"private functions nothing uses: {', '.join(unused)}"
+
+
+# Public names that nothing in the package uses: each is documented API in
+# README.  Any other exported name must have a user in ``src/`` outside
+# ``__init__.py``, so test-only API does not grow back into the exports.
+DOCUMENTED = ["are_akin", "compensate_pattern", "is_satisfiable", "pattern_from_json", "rewrite"]
+
+
+def test_public_names_have_a_user():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for n in init.body if isinstance(n, ast.ImportFrom) for alias in n.names}
+    used: set[str] = set()
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text()).body:
+            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
+            used |= _names(stmt) - own
+    assert sorted(exported - used) == DOCUMENTED
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    assert [name for name in DOCUMENTED if not re.search(rf"`{name}[`(]", readme)] == []
 
 
 # Functions on a cycle of calls within their module, as module.function: a

@@ -4,9 +4,7 @@ import pytest
 
 from xpviews import (
     EMPTY,
-    LabelMismatch,
     ViewSet,
-    collapse,
     dag_from_expr,
     lossless_prefixes,
     main_branch,
@@ -14,7 +12,6 @@ from xpviews import (
     pattern_to_json,
     subpattern_at,
     to_text,
-    tokens,
     tree_from_text,
     unfold_expr,
 )
@@ -106,26 +103,6 @@ def test_unfold_coalesces_compensated_outputs():
     assert len(images) == 1 and d.out == images[0]
 
 
-def test_tokens_of_running_prefix():
-    p = tree_from_text('doc("L")/lib//paper//section')
-    toks = tokens(p)
-    assert [t.labels(p) for t in toks] == [("L", "lib"), ("paper",), ("section",)]
-    assert [t.position for t in toks] == ["root", "intermediary", "result"]
-
-
-def test_tokens_single_token():
-    p = tree_from_text('doc("L")/a/b/c')
-    toks = tokens(p)
-    assert len(toks) == 1 and len(toks[0].nodes) == 4
-
-
-def test_tokens_reconstruct_main_branch():
-    p = tree_from_text(Q10)
-    toks = tokens(p)
-    flat = [n for t in toks for n in t.nodes]
-    assert flat == main_branch(p)
-
-
 def test_lossless_prefixes_of_running_query():
     q = tree_from_text(Q10)
     prefixes = lossless_prefixes(q)
@@ -164,25 +141,6 @@ def test_compensate_plan_expr_appends_navigation():
     plan = parse('doc("v1")/v1 & doc("v2")/v2')
     got = compensate_expr(plan, q, section)
     assert print_expr(got) == '(doc("v1")/v1 & doc("v2")/v2)//figure/image'
-
-
-def test_collapse_identity_and_label_mismatch():
-    d = dag_from_expr(parse('doc("L")//a//b & doc("L")//c//b'))
-    a = next(n for n in d.nodes if d.label(n) == "a")
-    c = next(n for n in d.nodes if d.label(n) == "c")
-    assert collapse(d, a, a) is d
-    with pytest.raises(LabelMismatch):
-        collapse(d, a, c)
-
-
-def test_collapse_merges_edges_and_counts():
-    d = dag_from_expr(parse('doc("L")/paper//x & doc("L")/paper/x'))
-    papers = sorted(n for n in d.nodes if d.label(n) == "paper")
-    assert len(papers) == 2
-    merged = collapse(d, *papers)
-    assert merged.size() == d.size() - 1
-    # reachability of untouched nodes from the root is preserved
-    assert merged.descendants(merged.root) | {merged.root} == set(merged.nodes)
 
 
 def test_subpattern_at_root_is_whole_tree():
