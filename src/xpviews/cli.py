@@ -191,11 +191,7 @@ def cmd_rewrite(args) -> int:
                     "prefixIndex": outcome.prefix_index,
                     "ruleTrace": [s.instance.rule for s in outcome.trace],
                     "timings": outcome.timings,
-                    "interleavingFallbacks": outcome.interleaving_fallbacks,
-                    "viewsMapped": outcome.views_mapped,
-                    "pairsSeen": outcome.pairs_seen,
-                    "pairsKept": outcome.pairs_kept,
-                    "leastPairRetries": outcome.least_pair_retries,
+                    **outcome.counters(),
                 }
             )
         )

@@ -37,11 +37,26 @@ def _mb_adj(d: Pattern):
     return mbn, kids, pars
 
 
-def _placements(d: Pattern) -> Iterator[dict[int, int]]:
-    """Enumerate total onto placements of MBN(d) onto code positions."""
+class _DeadEnds(Exception):
+    """The placement search met more dead ends than it was allowed."""
+
+
+def _placements(d: Pattern, dead_ends: Optional[int] = None) -> Iterator[dict[int, int]]:
+    """Enumerate total onto placements of MBN(d) onto code positions, by a
+    depth-first search.  With ``dead_ends`` set, the search stops once it
+    has backed out of more than that many partial placements that could not
+    be extended (a dead end), so it visits at most ``dead_ends + 1`` leaves,
+    each at most |MBN(d)| deep."""
     mbn, kids, pars = _mb_adj(d)
     total = len(mbn)
     pos: dict[int, int] = {}
+    met = 0
+
+    def dead_end() -> None:
+        nonlocal met
+        met += 1
+        if dead_ends is not None and met > dead_ends:
+            raise _DeadEnds
 
     def available(k: int) -> tuple[Optional[list[int]], list[int]]:
         """Forced nodes at position k and optional //-hanging candidates."""
@@ -85,7 +100,8 @@ def _placements(d: Pattern) -> Iterator[dict[int, int]]:
             yield dict(pos)
             return
         forced, opts = available(k)
-        if forced is None:
+        if forced is None or not (forced or opts):
+            dead_end()
             return
         label = d.label(forced[0]) if forced else None
         if label is not None:
@@ -108,6 +124,7 @@ def _placements(d: Pattern) -> Iterator[dict[int, int]]:
     def _place(chosen: list[int], k: int) -> Iterator[dict[int, int]]:
         # the output node sits on the last position: everything else first
         if d.out in chosen and len(pos) + len(chosen) != total:
+            dead_end()
             return
         for n in chosen:
             pos[n] = k
@@ -124,7 +141,10 @@ def _placements(d: Pattern) -> Iterator[dict[int, int]]:
         return
     # root is always alone at position 0
     pos[d.root] = 0
-    yield from rec(1)
+    try:
+        yield from rec(1)
+    except _DeadEnds:
+        return
 
 
 def _build(d: Pattern, placement: dict[int, int]) -> Interleaving:
@@ -188,6 +208,15 @@ def first_interleaving(d) -> Optional[Interleaving]:
     for il in interleavings(d):
         return il
     return None
+
+
+def bounded_interleaving(d: Pattern) -> Optional[Pattern]:
+    """One interleaving of the DAG ``d``, the first that ``interleavings``
+    yields, from a search that gives up after |MBN(d)| dead ends; None when
+    it gave up or ``d`` has none.  The search stays polynomial in the size
+    of ``d``, so a None proves nothing."""
+    placement = next(_placements(d, dead_ends=len(d.mb_nodes())), None)
+    return None if placement is None else _build(d, placement).pattern
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .pattern import (
     dag_intersect,
     lossless_prefixes,
     main_branch,
+    relative_ast,
     unfold_expr,
 )
 from .containment import (
@@ -37,6 +38,7 @@ from .containment import (
     tree_contains,
 )
 from .fragments import FragmentClass, classify, extended_skeleton
+from .interleaving import bounded_interleaving
 from .rules import TraceStep, apply_rules
 
 log = logging.getLogger(__name__)
@@ -74,6 +76,23 @@ class RewriteOutcome:
     pairs_seen: int = 0  # (view, image) pairs over the examined prefixes
     pairs_kept: int = 0  # of those, the least pairs, which the rules read first
     least_pair_retries: int = 0  # prefixes whose rules reran on every pair
+    witness_refutations: int = 0  # prefixes rejected by one interleaving instead
+
+    def counters(self) -> dict:
+        """The search's counters by the names the JSON reports give them."""
+        return {name: getattr(self, attr) for attr, name in COUNTERS.items()}
+
+
+# RewriteOutcome's counters: attribute -> JSON name
+COUNTERS = {
+    "candidates_examined": "candidatesExamined",
+    "views_mapped": "viewsMapped",
+    "pairs_seen": "pairsSeen",
+    "pairs_kept": "pairsKept",
+    "least_pair_retries": "leastPairRetries",
+    "witness_refutations": "witnessRefutations",
+    "interleaving_fallbacks": "interleavingFallbacks",
+}
 
 
 def _signature(p: Pattern) -> tuple:
@@ -138,9 +157,18 @@ def _pairs_on(images: list[tuple[str, list[int]]], p: Pattern) -> list[tuple[str
     return [(name, b) for name, bs in images for b in bs if b in mbn]
 
 
-def _compensated_head(name: str, p: Pattern, b: int) -> Expr:
-    head = Path(name, (Step(name, CHILD),))
-    return compensate_expr(head, p, b)
+def _compensated_heads(pairs: list[tuple[str, int]], p: Pattern) -> list[Path]:
+    """The head ``doc(v)/v`` of each (view, image) pair, compensated by the
+    image's predicates and continuation in ``p``, each image's computed
+    once."""
+    comp: dict[int, tuple] = {}
+    heads = []
+    for name, b in pairs:
+        if b not in comp:
+            comp[b] = relative_ast(p, b)
+        preds, steps = comp[b]
+        heads.append(Path(name, (Step(name, CHILD, preds),) + steps))
+    return heads
 
 
 def _intersection(branches: list[Expr]) -> Expr:
@@ -148,7 +176,7 @@ def _intersection(branches: list[Expr]) -> Expr:
 
 
 def _plan_expr(pairs: list[tuple[str, int]], p: Pattern) -> Expr:
-    return _intersection([_compensated_head(name, p, b) for name, b in pairs])
+    return _intersection(_compensated_heads(pairs, p))
 
 
 def _skeleton_views(views: ViewSet) -> ViewSet:
@@ -264,14 +292,13 @@ def rewrite_detailed(
     t = time.perf_counter()
     images = _view_images(views, q)
     spent = {"mappingMs": time.perf_counter() - t, "rulesMs": 0.0, "containmentMs": 0.0}
-    counts = dict.fromkeys(
-        ("candidates_examined", "interleaving_fallbacks", "pairs_seen", "pairs_kept", "least_pair_retries"), 0
-    )
+    counts = dict.fromkeys(COUNTERS, 0)
+    counts["views_mapped"] = len(images)
 
     def outcome(*args, **kw) -> RewriteOutcome:
         timings = {"rewriteMs": (time.perf_counter() - t0) * 1e3}
         timings.update((k, v * 1e3) for k, v in spent.items())
-        return RewriteOutcome(*args, timings=timings, views_mapped=len(images), **counts, **kw)
+        return RewriteOutcome(*args, timings=timings, **counts, **kw)
 
     def fixpoint(units: list[Pattern]):
         # apply_rules works on a copy, so a lone unfolding needs none
@@ -285,7 +312,7 @@ def rewrite_detailed(
         pairs = _pairs_on(images, p)
         if not pairs:
             continue
-        heads = [_compensated_head(name, p, b) for name, b in pairs]
+        heads = _compensated_heads(pairs, p)
         units = [unfold_expr(h, dag_views) for h in heads]
         t = time.perf_counter()
         kept = _least_pairs(units)
@@ -295,6 +322,13 @@ def rewrite_detailed(
         counts["pairs_kept"] += len(kept)
         d, trace = fixpoint([units[i] for i in kept])
         if len(kept) < len(pairs) and d is not EMPTY and not d.is_tree():
+            t = time.perf_counter()
+            witness = bounded_interleaving(d)
+            refuted = witness is not None and not tree_contains(p, witness)
+            spent["containmentMs"] += time.perf_counter() - t
+            if refuted:
+                counts["witness_refutations"] += 1
+                continue
             counts["least_pair_retries"] += 1
             d, trace = fixpoint(units)
         t = time.perf_counter()

@@ -615,10 +615,13 @@ class _Engine:
 
     def _r5_fire(self, n1: int, n2: int, n3: int) -> bool:
         d = self.w
+        preds = d.pred_edges(n3)
+        if not preds:
+            return False
         p2 = [n2, *slash_run(d, n2)]
-        for q_root, q_axis in d.pred_edges(n3):
+        sub2, _ = _subpattern_with_map(d, n2)
+        for q_root, q_axis in preds:
             probe = singleton_pattern(d.label(n2), d, q_root, q_axis)
-            sub2, _ = _subpattern_with_map(d, n2)
             if has_mapping(probe, sub2, ROOT_MAPPING):
                 continue  # already implied
             ok = True
@@ -833,6 +836,25 @@ def try_rule(rule: str, d: Pattern):
     return eng.w, eng.trace[-1].instance
 
 
+def _forks(d: Pattern) -> tuple[bool, bool]:
+    """Whether some main-branch node has a / edge and a // edge to
+    different main-branch nodes, onward and back.  R2i, R3i, R4i and R5
+    fire only at an onward fork, R2ii, R3ii and R4ii only at a backward
+    one."""
+
+    def fork(edges) -> bool:
+        return any(
+            {k for _, k in e} == {CHILD, DESC} and len({x for x, _ in e}) > 1
+            for e in map(edges, d.mb_nodes())
+        )
+
+    return fork(d.mb_out_edges), fork(d.mb_in_edges)
+
+
+# rule -> which fork it needs (0 onward, 1 back); the others are not gated
+FORK_OF = {"R2i": 0, "R3i": 0, "R4i": 0, "R5": 0, "R2ii": 1, "R3ii": 1, "R4ii": 1}
+
+
 def apply_rules(d) -> tuple[object, list[TraceStep]]:
     """Fixpoint of the rule set; the result is equivalent to the input.
 
@@ -840,24 +862,37 @@ def apply_rules(d) -> tuple[object, list[TraceStep]]:
     other firing; remaining rules are scanned in a fixed order, restarting
     after each change.  An unsatisfiable working pattern collapses to
     EMPTY.
+
+    No rule fires on a tree: R1 needs two same-label /-neighbours of one
+    main-branch node, and every other rule a main-branch node with two
+    main-branch edges onward or two back.  So a tree comes back as a clone
+    with an empty trace, and the loop ends once the working pattern is one.
+    Each scan also skips the rules whose fork (``_forks``) is absent; the
+    order of tries is unchanged, so the trace is that of the full scan.
     """
     if d is EMPTY:
         return EMPTY, []
+    if d.is_tree():
+        w = d.clone()
+        w.validate()
+        return w, []
     eng = _Engine(d)
     eng.saturate_r1()
     if eng.dead or immediately_unsatisfiable(eng.w):
         return EMPTY, eng.trace
-    changed = True
-    while changed:
-        changed = False
+    while not eng.w.is_tree():
+        forks = _forks(eng.w)
         for rule in RULE_ORDER:
+            if rule in FORK_OF and not forks[FORK_OF[rule]]:
+                continue
             if eng.try_rule(rule):
                 if eng.dead:
                     return EMPTY, eng.trace
                 eng.saturate_r1()
                 if eng.dead:
                     return EMPTY, eng.trace
-                changed = True
                 break
+        else:
+            break
     eng.w.validate()
     return eng.w, eng.trace

@@ -27,7 +27,7 @@ from .documents import (
     eval_plan,
 )
 from .fragments import FragmentClass, classify
-from .rewrite import EFFICIENT, equivalent, rewrite_detailed
+from .rewrite import EFFICIENT, RewriteOutcome, equivalent, rewrite_detailed
 
 
 class GenerationTimeout(RuntimeError):
@@ -269,6 +269,7 @@ class BenchReport:
     plan_eval_ms: float
     direct_eval_ms: float
     plan_size: int
+    counters: dict  # RewriteOutcome.counters()
 
     def as_dict(self) -> dict:
         return {
@@ -281,6 +282,7 @@ class BenchReport:
             "planEvalTimeMs": round(self.plan_eval_ms, 3),
             "directEvalTimeMs": round(self.direct_eval_ms, 3),
             "planSize": self.plan_size,
+            **self.counters,
         }
 
 
@@ -304,7 +306,7 @@ def bench(cfg: GenConfig, mode: str = EFFICIENT, warmup: int = 3, reps: int = 7)
     except CapExceeded:
         return BenchReport(
             cfg.seed, cfg.category, cfg.main_branch_size, cfg.view_set_size,
-            "capExceeded", 0.0, 0.0, 0.0, 0,
+            "capExceeded", 0.0, 0.0, 0.0, 0, RewriteOutcome(None, "capExceeded").counters(),
         )
     if outcome.plan is None:
         status = "noRewriting"
@@ -326,4 +328,5 @@ def bench(cfg: GenConfig, mode: str = EFFICIENT, warmup: int = 3, reps: int = 7)
         plan_ms,
         direct_ms,
         plan_size,
+        outcome.counters(),
     )

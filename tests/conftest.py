@@ -125,6 +125,24 @@ def random_dag_corpus(seed: int, count: int):
         yield es, d, parts
 
 
+def termination_sweep():
+    """Acceptance criterion 6's fresh sweep: intersections of two to four
+    random tree patterns of main branch 2 to 5 that share an output
+    label."""
+    from xpviews.pattern import dag_intersect
+
+    rng = random.Random(66)
+    for _ in range(100):
+        out_label = rng.choice("ab")
+        parts = [
+            random_tree_pattern(rng, mb_len=rng.randint(2, 5), out_label=out_label)
+            for _ in range(rng.randint(2, 4))
+        ]
+        d = dag_intersect(parts)
+        if d is not EMPTY:
+            yield d
+
+
 def es_rewrite_instances(seed: int, count: int = 300):
     """Acceptance criterion 5's rewriting instances: an extended-skeleton
     query of main branch 2 to 5 with at most 8 lossless prefixes, and 1 to
@@ -352,6 +370,33 @@ def equivalent_by_minimization(p1, p2) -> bool:
 
 # ---------------------------------------------------------------------------
 # rewriting oracles: every view mapped, every (view, image) pair decided on
+
+
+def apply_rules_ungated(d):
+    """The rule fixpoint with no shortcut: a tree goes through the loop,
+    and every scan tries every rule in ``RULE_ORDER`` until one fires."""
+    from xpviews.rules import RULE_ORDER, _Engine, immediately_unsatisfiable
+
+    if d is EMPTY:
+        return EMPTY, []
+    eng = _Engine(d)
+    eng.saturate_r1()
+    if eng.dead or immediately_unsatisfiable(eng.w):
+        return EMPTY, eng.trace
+    changed = True
+    while changed:
+        changed = False
+        for rule in RULE_ORDER:
+            if eng.try_rule(rule):
+                if eng.dead:
+                    return EMPTY, eng.trace
+                eng.saturate_r1()
+                if eng.dead:
+                    return EMPTY, eng.trace
+                changed = True
+                break
+    eng.w.validate()
+    return eng.w, eng.trace
 
 
 def view_pairs(views: ViewSet, p: Pattern) -> list[tuple[str, int]]:

@@ -42,7 +42,7 @@ from xpviews import (
 )
 from xpviews.containment import CONTAINMENT, has_mapping
 from xpviews.documents import XmlTree
-from xpviews.pattern import canon_key, dag_intersect, lossless_prefixes, to_text
+from xpviews.pattern import canon_key, lossless_prefixes, to_text
 from xpviews.rewrite import _plan_expr
 from xpviews.syntax import parse
 
@@ -51,6 +51,7 @@ from conftest import (
     es_rewrite_instances,
     random_dag_corpus,
     random_tree_pattern,
+    termination_sweep,
     two_branch_merges,
     view_pairs,
 )
@@ -281,16 +282,7 @@ def test_criterion_6_termination_bound():
         assert TRACE_BOUND_LOG, "criterion 4 must run first"
         for nodes, preds, steps in TRACE_BOUND_LOG:
             assert steps <= nodes * nodes + preds
-        rng = random.Random(66)
-        for _ in range(100):
-            out_label = rng.choice("ab")
-            parts = [
-                random_tree_pattern(rng, mb_len=rng.randint(2, 5), out_label=out_label)
-                for _ in range(rng.randint(2, 4))
-            ]
-            d = dag_intersect(parts)
-            if d is EMPTY:
-                continue
+        for d in termination_sweep():
             preds = sum(len(d.pred_edges(n)) for n in d.mb_nodes())
             _, trace = apply_rules(d)
             assert len(trace) <= d.size() ** 2 + preds

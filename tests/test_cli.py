@@ -95,6 +95,7 @@ def test_rewrite_eval_generate_roundtrip(tmp_path, capsys):
     assert doc["interleavingFallbacks"] == 0
     # v1's head is contained in v2's at the section prefix
     assert (doc["viewsMapped"], doc["pairsSeen"], doc["pairsKept"], doc["leastPairRetries"]) == (2, 2, 1, 0)
+    assert (doc["candidatesExamined"], doc["witnessRefutations"]) == (1, 0)
 
     # negative decision exits 1
     vf2 = tmp_path / "none.txt"
@@ -155,6 +156,8 @@ def test_generate_and_bench(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["status"] == "rewritten"
+    assert rows[0]["candidatesExamined"] >= 1 and rows[0]["pairsSeen"] >= rows[0]["pairsKept"] >= 1
+    assert rows[0]["witnessRefutations"] >= 0 and rows[0]["leastPairRetries"] >= 0
 
 
 def test_rewrite_all_flag(tmp_path, capsys):
@@ -179,6 +182,7 @@ def test_bench_seed_env_and_config(tmp_path, capsys, monkeypatch):
     assert code == 0
     header, row = out.strip().splitlines()[:2]
     assert "seed" in header
+    assert {"pairsSeen", "pairsKept", "leastPairRetries", "witnessRefutations", "interleavingFallbacks"} <= set(header.split(","))
     assert row.startswith("9,")
 
 

@@ -1,4 +1,6 @@
+import importlib
 import random
+import time
 
 import pytest
 
@@ -26,7 +28,10 @@ from xpviews import (
     unfold_expr,
 )
 from xpviews.containment import CONTAINMENT, root_mapping_out_images
+from xpviews.fragments import FragmentClass, classify
+from xpviews.interleaving import bounded_interleaving, first_interleaving
 from xpviews.pattern import (
+    Pattern,
     PNode,
     canon_key,
     compensate_pattern,
@@ -35,8 +40,8 @@ from xpviews.pattern import (
     main_branch,
     to_text,
 )
-from xpviews.rewrite import _pairs_on, _skeleton_views, _view_images
-from xpviews.syntax import parse, print_expr
+from xpviews.rewrite import _pairs_on, _plan_expr, _skeleton_views, _view_images
+from xpviews.syntax import CHILD, DESC, parse, print_expr
 from xpviews.workload import CATEGORIES
 
 from conftest import (
@@ -400,6 +405,110 @@ def test_least_pairs_decide_like_every_pair(seed):
             assert got == all_pairs_rewrite(q, views, mode), (to_text(q), mode)
             dropped += out.pairs_seen - out.pairs_kept
     assert dropped >= 50
+
+
+def _record_refutations(monkeypatch) -> list:
+    """Wrap rewrite's witness search and tree test so that each prefix the
+    witness refutes is appended to the returned list."""
+    mod = importlib.import_module("xpviews.rewrite")
+    search, test = mod.bounded_interleaving, mod.tree_contains
+    witnesses, refuted = [None], []
+
+    def witness(d):
+        witnesses.append(search(d))
+        return witnesses[-1]
+
+    def tree_contains(p, t):
+        got = test(p, t)
+        if not got and t is witnesses[-1]:
+            refuted.append(p)
+        return got
+
+    monkeypatch.setattr(mod, "bounded_interleaving", witness)
+    monkeypatch.setattr(mod, "tree_contains", tree_contains)
+    return refuted
+
+
+def _confirm_refutations(q, views, mode, refuted) -> int:
+    """Rewrite ``q``, and check by plain enumeration that every prefix the
+    witness refuted has an all-pairs unfolding outside it."""
+    del refuted[:]
+    out = rewrite_detailed(q, views, mode)
+    assert out.witness_refutations == len(refuted)
+    dag_views = _skeleton_views(views) if classify(q) is FragmentClass.EXTENDED_SKELETON else views
+    for p in refuted:
+        d = unfold_expr(_plan_expr(view_pairs(views, p), p), dag_views)
+        assert not dag_contained_in_tree(d, p), (to_text(q), to_text(p))
+    return len(refuted)
+
+
+@pytest.mark.parametrize("seed", [811, 7, 99])
+def test_witness_refutes_only_prefixes_that_fail_on_every_pair(monkeypatch, seed):
+    refuted = _record_refutations(monkeypatch)
+    total = sum(
+        _confirm_refutations(q, views, mode, refuted)
+        for q, views in es_rewrite_instances(seed)
+        for mode in (EFFICIENT, FULL)
+    )
+    assert total >= {811: 0, 7: 14, 99: 8}[seed]
+
+
+def test_witness_refutations_on_generated_workloads(monkeypatch):
+    refuted = _record_refutations(monkeypatch)
+    total = 0
+    for seed in range(1, 11):
+        for cat in CATEGORIES:
+            for size in (3, 4, 5, 6):
+                _, q, views = generate_workload(GenConfig(seed=seed, main_branch_size=size, category=cat))
+                total += sum(_confirm_refutations(q, views, mode, refuted) for mode in (EFFICIENT, FULL))
+    assert total >= 2
+
+
+def test_witness_refutes_before_the_rerun():
+    # At the prefix ending at the first b, v0's head and one of v1's are
+    # dropped as redundant, and the fixpoint of the rest stays a DAG.  Its
+    # first interleaving is outside the prefix, so the rules do not rerun.
+    views = ViewSet.from_texts({"v0": 'doc("L")//c/b[a//c]//b/d', "v1": 'doc("L")//c//b'})
+    q = tree_from_text('doc("L")/c/b[a//c]/b/d')
+    out = rewrite_detailed(q, views, EFFICIENT)
+    assert out.status == "noRewriting"
+    assert (out.pairs_seen, out.pairs_kept, out.witness_refutations, out.least_pair_retries) == (6, 4, 1, 0)
+    assert all_pairs_rewrite(q, views, EFFICIENT) == ("noRewriting", None, None)
+
+
+def _late_conflict_dag(spare: int, chain: int) -> Pattern:
+    """A satisfiable DAG whose placement search, taking the a-labelled
+    /-chain first, meets the conflict only at the output: the b node must
+    come before the chain.  Every way of co-placing the ``spare`` a nodes
+    with the chain is a dead end first."""
+    d = Pattern()
+    d.root = d.add_node("L")
+    run = [d.add_node("a") for _ in range(chain)]
+    d.out = d.add_node("a")
+    d.add_edge(d.root, run[0], DESC)
+    for x, y in zip(run, run[1:] + [d.out]):
+        d.add_edge(x, y, CHILD)
+    for label in ["a"] * spare + ["b"]:
+        x = d.add_node(label)
+        d.add_edge(d.root, x, DESC)
+        d.add_edge(x, d.out, DESC)
+    return d
+
+
+def test_witness_search_gives_up_at_its_bound(monkeypatch):
+    d = _late_conflict_dag(3, 3)
+    t0 = time.perf_counter()
+    assert bounded_interleaving(d) is None
+    assert time.perf_counter() - t0 < 0.5
+    assert first_interleaving(d) is not None  # the exhaustive search finds one
+    assert bounded_interleaving(_late_conflict_dag(1, 1)) is not None
+    # with no witness the rules rerun on every pair and decide as before
+    monkeypatch.setattr(importlib.import_module("xpviews.rewrite"), "bounded_interleaving", lambda d: None)
+    for q, views in es_rewrite_instances(7):
+        out = rewrite_detailed(q, views, EFFICIENT)
+        got = (out.status, out.plan.text if out.plan else None, out.prefix_index)
+        assert got == all_pairs_rewrite(q, views, EFFICIENT)
+        assert out.witness_refutations == 0
 
 
 # -- nested plans --------------------------------------------------------------

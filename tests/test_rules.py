@@ -2,6 +2,9 @@ import itertools
 import random
 import time
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from xpviews import (
     EMPTY,
     TreeGenConfig,
@@ -18,16 +21,18 @@ from xpviews import (
     tree_from_text,
     try_rule,
 )
-from xpviews.pattern import canon_key, dag_intersect, main_branch, to_text
+from xpviews.pattern import canon_key, dag_intersect, main_branch, pattern_to_json, to_text
 from xpviews.rules import RULE_ORDER, _run_maps
 from xpviews.syntax import CHILD, DESC, parse
 
 from conftest import (
+    apply_rules_ungated,
     chain_maps_oracle,
     linear_maps_oracle,
     random_dag_corpus,
     random_es_pattern,
     random_tree_pattern,
+    termination_sweep,
     trial_collapse_unsat,
     trial_collapsible,
 )
@@ -292,6 +297,46 @@ def test_apply_rules_is_identity_on_trees():
         out, trace = apply_rules(p)
         assert not trace
         assert canon_key(out) == canon_key(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_no_rule_fires_on_a_tree(seed, mb_len):
+    # apply_rules returns a tree at once, so no rule may fire on one
+    t = random_tree_pattern(random.Random(seed), mb_len=mb_len, pred_prob=0.6)
+    assert all(try_rule(rule, t) is None for rule in ("R1", *RULE_ORDER))
+
+
+def _trace_key(trace):
+    return [
+        (s.instance.rule, s.instance.bindings, s.nodes_before, s.nodes_after, s.mbn_before, s.mbn_after)
+        for s in trace
+    ]
+
+
+def _same_fixpoint(d):
+    got, trace = apply_rules(d)
+    want, want_trace = apply_rules_ungated(d)
+    assert _trace_key(trace) == _trace_key(want_trace)
+    assert pattern_to_json(got) == pattern_to_json(want)
+    return want_trace
+
+
+@pytest.mark.parametrize("seed", [20240811, 7, 99])
+def test_gated_fixpoint_matches_the_ungated_loop(seed):
+    # criterion 4's corpus: the trees it intersects, where no rule fires,
+    # and the DAGs, under the shape gates and the stop at trees
+    fired_total = 0
+    for _, d, parts in random_dag_corpus(seed, 500):
+        for t in parts:
+            assert all(try_rule(rule, t) is None for rule in ("R1", *RULE_ORDER))
+            assert not _same_fixpoint(t)
+        fired_total += len(_same_fixpoint(d))
+    assert fired_total > 500
+
+
+def test_gated_fixpoint_matches_the_ungated_loop_on_the_termination_sweep():
+    assert sum(len(_same_fixpoint(d)) for d in termination_sweep()) > 100
 
 
 def test_soundness_per_firing_on_corpus():
