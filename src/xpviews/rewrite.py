@@ -6,15 +6,17 @@ equivalent to the query.  Only a linear number of candidates (one per
 main-branch prefix) needs to be inspected for the single-level language,
 and each is decided on its least (view, image) pairs; only views whose
 main branch embeds in the query's are root-mapped.  Nested plans go
-through a single minimally-containing candidate graph.
+through a single minimally-containing candidate graph, decided on its
+least attachments.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .syntax import CHILD, Compensated, Expr, Intersect, Path, Step, print_expr
 from .pattern import (
@@ -237,13 +239,14 @@ def equivalent(p1, p2) -> bool:
 
 
 def _least_pairs(units: list[Pattern]) -> list[int]:
-    """The positions of the least pairs, given the unfoldings of their
-    compensated heads in pair order.  A head contained in another makes
-    that one redundant in the intersection (A ∩ B = A when A ⊑ B), so the
-    least heads intersect to the same nodes as all of them.  One sweep
-    drops a head when it contains a kept head, and otherwise lets it
-    replace the kept heads that contain it.  Among equivalent heads the
-    first stays."""
+    """The positions of the least of ``units``, tree patterns to intersect:
+    the unfoldings of a prefix's compensated heads in pair order, or the
+    views attached at one node of a nested candidate.  A pattern contained
+    in another makes that one redundant in the intersection (A ∩ B = A when
+    A ⊑ B), so the least ones intersect to the same nodes as all of them.
+    One sweep drops a pattern when it contains a kept one, and otherwise
+    lets it replace the kept ones that contain it.  Among equivalent
+    patterns the first stays."""
     kept: list[int] = []
     for i, h in enumerate(units):
         if any(tree_contains(h, units[j]) for j in kept):
@@ -251,6 +254,49 @@ def _least_pairs(units: list[Pattern]) -> list[int]:
         kept = [j for j in kept if not tree_contains(units[j], h)]
         kept.append(i)
     return kept
+
+
+def _decide(
+    least: Pattern,
+    every: Optional[Callable[[], Pattern]],
+    p: Pattern,
+    mode: str,
+    spent: dict,
+    counts: dict,
+) -> tuple[bool, list[TraceStep]]:
+    """Whether ``p`` contains an intersection, and the trace of the rule
+    fixpoint decided on.  ``least`` unfolds the intersection of its least
+    parts, which is equivalent to the whole; ``every()`` unfolds the whole
+    when parts were dropped, and is None otherwise.
+
+    The rules are syntax-sensitive: equivalent parts can differ in what they
+    let merge.  So when parts were dropped and the fixpoint of ``least``
+    stays a DAG, one bounded interleaving of it, which lies in the
+    intersection, may refute it (``witness_refutations``); failing that,
+    the rules run again on ``every()`` (``least_pair_retries``), and the
+    decision is never weaker than on every part.  ``_contained`` decides
+    the fixpoint.  Time goes to ``spent``'s ``rulesMs`` and
+    ``containmentMs``."""
+    t = time.perf_counter()
+    d, trace = apply_rules(least)
+    spent["rulesMs"] += time.perf_counter() - t
+    if every is not None and d is not EMPTY and not d.is_tree():
+        t = time.perf_counter()
+        witness = bounded_interleaving(d)
+        refuted = witness is not None and not tree_contains(p, witness)
+        spent["containmentMs"] += time.perf_counter() - t
+        if refuted:
+            counts["witness_refutations"] += 1
+            return False, trace
+        counts["least_pair_retries"] += 1
+        t = time.perf_counter()
+        d, trace = apply_rules(every())
+        spent["rulesMs"] += time.perf_counter() - t
+    t = time.perf_counter()
+    ok, fell_back = _contained(d, p, mode)
+    counts["interleaving_fallbacks"] += fell_back
+    spent["containmentMs"] += time.perf_counter() - t
+    return ok, trace
 
 
 def rewrite_detailed(
@@ -269,12 +315,9 @@ def rewrite_detailed(
     Only views that pass ``_view_images``' main-branch screen are mapped
     (``views_mapped``).  The decision reads only the least pairs of each
     prefix (``_least_pairs``), whose heads intersect to the same nodes as
-    those of all pairs; the plan still lists every pair.  The rules are
-    syntax-sensitive, though: equivalent heads can differ in what they let
-    merge.  So when pairs were dropped and their fixpoint is still a DAG,
-    the rules run again on the unfolding of every pair
-    (``least_pair_retries``), and the decision is never weaker than on all
-    pairs.  ``trace`` is that of the fixpoint decided on.
+    those of all pairs, and turns to every pair as ``_decide`` says; the
+    plan still lists every pair.  ``trace`` is that of the fixpoint decided
+    on.
 
     ``timings`` holds the whole search (``rewriteMs``) and three of its
     phases: root-mapping images, the rule fixpoint, and containment (the
@@ -300,13 +343,9 @@ def rewrite_detailed(
         timings.update((k, v * 1e3) for k, v in spent.items())
         return RewriteOutcome(*args, timings=timings, **counts, **kw)
 
-    def fixpoint(units: list[Pattern]):
+    def intersect(units: list[Pattern]):
         # apply_rules works on a copy, so a lone unfolding needs none
-        d = units[0] if len(units) == 1 else dag_intersect(units)
-        t = time.perf_counter()
-        res = apply_rules(d)
-        spent["rulesMs"] += time.perf_counter() - t
-        return res
+        return units[0] if len(units) == 1 else dag_intersect(units)
 
     for p in prefixes:
         pairs = _pairs_on(images, p)
@@ -320,21 +359,8 @@ def rewrite_detailed(
         counts["candidates_examined"] += 1
         counts["pairs_seen"] += len(pairs)
         counts["pairs_kept"] += len(kept)
-        d, trace = fixpoint([units[i] for i in kept])
-        if len(kept) < len(pairs) and d is not EMPTY and not d.is_tree():
-            t = time.perf_counter()
-            witness = bounded_interleaving(d)
-            refuted = witness is not None and not tree_contains(p, witness)
-            spent["containmentMs"] += time.perf_counter() - t
-            if refuted:
-                counts["witness_refutations"] += 1
-                continue
-            counts["least_pair_retries"] += 1
-            d, trace = fixpoint(units)
-        t = time.perf_counter()
-        ok, fell_back = _contained(d, p, mode)
-        counts["interleaving_fallbacks"] += fell_back
-        spent["containmentMs"] += time.perf_counter() - t
+        every = (lambda: intersect(units)) if len(kept) < len(pairs) else None
+        ok, trace = _decide(intersect([units[i] for i in kept]), every, p, mode, spent, counts)
         if ok:
             plan_expr = compensate_expr(_intersection(heads), q, p.out)
             return outcome(
@@ -498,9 +524,22 @@ def build_rewrite_candidate(q: Pattern, views: ViewSet) -> Optional[RewritingGra
 
 
 def nested_rewrite(q: Pattern, views: ViewSet) -> Optional[RewritingGraph]:
-    """Nested-plan rewriting: the candidate is a rewriting iff any exists."""
+    """Nested-plan rewriting: the candidate is a rewriting iff any exists.
+
+    q ⊑ unfold holds by construction: each view root-maps into q with its
+    output at its attachment node, and with the identity on the base these
+    mappings agree on every merged node, so together they map the unfolding
+    into q.  Only unfold ⊑ q is decided, on the least views of each
+    attachment node (``_least_pairs``): at one node a view that contains
+    another adds nothing to the intersection."""
     cand = build_rewrite_candidate(q, views)
     if cand is None:
         return None
-    # q ⊑ unfold by a containment mapping; unfold ⊑ q by the rule fixpoint
-    return cand if equivalent(cand.unfold(), q) else None
+    least = {}
+    for node, names in cand.attachments.items():
+        kept = _least_pairs([views[name] for name in names])
+        least[node] = [names[i] for i in kept]
+    small = RewritingGraph(cand.base, least, views).unfold()
+    every = cand.unfold if least != cand.attachments else None
+    ok, _ = _decide(small, every, q, FULL, Counter(), Counter())
+    return cand if ok else None

@@ -151,26 +151,22 @@ def _collapse_pairs(d: Pattern, pairs: list[tuple[int, int]]):
 
 def _r1_forced_pair(d: Pattern) -> Optional[tuple[int, int]]:
     """A pair collapsible by the forced rule: same-label /-siblings under a
-    common parent, or same-label /-parents of a common child."""
+    common parent, or same-label /-parents of a common child.  One pass
+    groups the main-branch /-edges by (node, children or parents, label);
+    the pair is the two least ids of the least group with two members, so
+    the least node wins, then its children over its parents, then the
+    least label."""
     mbn = d.mb_nodes()
-    for n in sorted(mbn):
-        kids = [b for b, k in d.mb_out_edges(n) if k == CHILD]
-        by_label: dict[str, list[int]] = {}
-        for b in kids:
-            by_label.setdefault(d.label(b), []).append(b)
-        for lab in sorted(by_label):
-            if len(by_label[lab]) > 1:
-                a, b = sorted(by_label[lab])[:2]
-                return a, b
-        pars = [a for a, k in d.mb_in_edges(n) if k == CHILD]
-        by_label = {}
-        for a in pars:
-            by_label.setdefault(d.label(a), []).append(a)
-        for lab in sorted(by_label):
-            if len(by_label[lab]) > 1:
-                a, b = sorted(by_label[lab])[:2]
-                return a, b
-    return None
+    groups: dict[tuple[int, int, str], list[int]] = {}
+    for a, b, k in d.edges:
+        if k == CHILD and a in mbn and b in mbn:
+            groups.setdefault((a, 0, d.label(b)), []).append(b)
+            groups.setdefault((b, 1, d.label(a)), []).append(a)
+    forced = [key for key, ns in groups.items() if len(ns) > 1]
+    if not forced:
+        return None
+    a, b = sorted(groups[min(forced)])[:2]
+    return a, b
 
 
 def _forced_unsat(d: Pattern, pairs: Iterable[tuple[int, int]] = ()) -> bool:

@@ -168,6 +168,27 @@ def es_rewrite_instances(seed: int, count: int = 300):
         yield q, views
 
 
+def minimal_containment_draws(seed: int):
+    """Acceptance criterion 8's draws, without end: a query of main branch
+    2 or 3 over labels a-c, and 2 or 3 views, most of them generalizations
+    of the query."""
+    from xpviews.workload import _generalize
+
+    labels = ("a", "b", "c")
+    rng = random.Random(seed)
+    while True:
+        q = random_tree_pattern(rng, mb_len=rng.randint(2, 3), labels=labels)
+        views = ViewSet()
+        for i in range(rng.randint(2, 3)):
+            v = (
+                _generalize(rng, q)
+                if rng.random() < 0.7
+                else random_tree_pattern(rng, mb_len=rng.randint(1, 2), labels=labels)
+            ) or random_tree_pattern(rng, mb_len=1, labels=labels)
+            views.define(f"v{i}", v)
+        yield q, views
+
+
 # ---------------------------------------------------------------------------
 # time limits
 
@@ -372,9 +393,36 @@ def equivalent_by_minimization(p1, p2) -> bool:
 # rewriting oracles: every view mapped, every (view, image) pair decided on
 
 
+def r1_forced_pair_by_nodes(d: Pattern):
+    """R1's pair found node by node, least node first: its same-label
+    /-children, then its same-label /-parents, by least label, the two
+    least ids."""
+    for n in sorted(d.mb_nodes()):
+        for edges in (d.mb_out_edges(n), d.mb_in_edges(n)):
+            by_label: dict[str, list[int]] = {}
+            for x, k in edges:
+                if k == CHILD:
+                    by_label.setdefault(d.label(x), []).append(x)
+            for lab in sorted(by_label):
+                if len(by_label[lab]) > 1:
+                    a, b = sorted(by_label[lab])[:2]
+                    return a, b
+    return None
+
+
 def apply_rules_ungated(d):
     """The rule fixpoint with no shortcut: a tree goes through the loop,
-    and every scan tries every rule in ``RULE_ORDER`` until one fires."""
+    every scan tries every rule in ``RULE_ORDER`` until one fires, and R1's
+    pair is found node by node (``r1_forced_pair_by_nodes``)."""
+    from unittest import mock
+
+    from xpviews import rules
+
+    with mock.patch.object(rules, "_r1_forced_pair", r1_forced_pair_by_nodes):
+        return _ungated_loop(d)
+
+
+def _ungated_loop(d):
     from xpviews.rules import RULE_ORDER, _Engine, immediately_unsatisfiable
 
     if d is EMPTY:
@@ -397,6 +445,17 @@ def apply_rules_ungated(d):
                 break
     eng.w.validate()
     return eng.w, eng.trace
+
+
+def nested_rewrite_by_equivalence(q: Pattern, views: ViewSet):
+    """``nested_rewrite`` deciding the candidate the plain way: its whole
+    unfolding must be equivalent to the query, by containment both ways."""
+    from xpviews.rewrite import build_rewrite_candidate, equivalent
+
+    cand = build_rewrite_candidate(q, views)
+    if cand is None:
+        return None
+    return cand if equivalent(cand.unfold(), q) else None
 
 
 def view_pairs(views: ViewSet, p: Pattern) -> list[tuple[str, int]]:

@@ -5,7 +5,6 @@ lines.  Tolerances are pinned here; none are deferred to calibration.
 """
 
 import math
-import random
 import statistics
 import time
 from contextlib import contextmanager
@@ -49,8 +48,8 @@ from xpviews.syntax import parse
 from conftest import (
     dag_contained_in_dag,
     es_rewrite_instances,
+    minimal_containment_draws,
     random_dag_corpus,
-    random_tree_pattern,
     termination_sweep,
     two_branch_merges,
     view_pairs,
@@ -382,22 +381,13 @@ def _selective_workload():
 
 def test_criterion_8_minimal_containment():
     with criterion(8, "candidate graph unfolds below every containing graph"):
-        from xpviews.workload import _generalize
         from itertools import combinations
 
-        rng = random.Random(42)
         instances = 0
         failures = 0
-        while instances < 100:
-            q = random_tree_pattern(rng, mb_len=rng.randint(2, 3), labels=("a", "b", "c"))
-            views = ViewSet()
-            for i in range(rng.randint(2, 3)):
-                v = (
-                    _generalize(rng, q)
-                    if rng.random() < 0.7
-                    else random_tree_pattern(rng, mb_len=rng.randint(1, 2), labels=("a", "b", "c"))
-                ) or random_tree_pattern(rng, mb_len=1, labels=("a", "b", "c"))
-                views.define(f"v{i}", v)
+        for q, views in minimal_containment_draws(42):
+            if instances == 100:
+                break
             cand = build_rewrite_candidate(q, views)
             if cand is None:
                 continue

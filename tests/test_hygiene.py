@@ -7,6 +7,7 @@ package's public names.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -158,3 +159,17 @@ def test_recursive_functions_are_listed():
         f"{path.stem}.{name}" for path in MODULES for name in _on_call_cycles(ast.parse(path.read_text()))
     ]
     assert sorted(found) == RECURSIVE
+
+
+def test_traced_names_exist():
+    # perfbench's traced runs replace each (module, name) of these lists for
+    # their duration; a name that moved or is gone raises there at once,
+    # while untraced runs and the rest of the suite never look it up.  The
+    # file is read, not imported, so nothing is written beside it.
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    ns: dict = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), ns)
+    names = [(module, attr) for module, attr, *_ in ns["INNER"] + ns["GENERATORS"]]
+    assert len(names) >= 10
+    missing = [f"{m}.{a}" for m, a in names if not hasattr(importlib.import_module(m), a)]
+    assert not missing, f"perfbench/tracing.py patches names that do not exist: {', '.join(missing)}"

@@ -1,6 +1,9 @@
 import importlib
+import json
 import random
 import time
+from itertools import chain, islice
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from xpviews import (
     ViewSet,
     all_rewrites,
     build_rewrite_candidate,
+    contains,
     dag_contained_in_tree,
     eval_plan,
     eval_tree_pattern,
@@ -38,6 +42,7 @@ from xpviews.pattern import (
     dag_from_expr,
     lossless_prefixes,
     main_branch,
+    pattern_to_json,
     to_text,
 )
 from xpviews.rewrite import _pairs_on, _plan_expr, _skeleton_views, _view_images
@@ -50,6 +55,8 @@ from conftest import (
     dag_contained_in_dag,
     equivalent_by_minimization,
     es_rewrite_instances,
+    minimal_containment_draws,
+    nested_rewrite_by_equivalence,
     pinned_out_images,
     random_tree_pattern,
     view_pairs,
@@ -626,3 +633,111 @@ def test_interleaving_fallbacks_are_counted_and_logged(caplog):
         views = ViewSet.from_texts({"v0": 'doc("L")//a', "v1": 'doc("L")/a//b'})
         assert nested_rewrite(tree_from_text('doc("L")/a/b'), views) is None
     assert any("interleavings" in r.getMessage() for r in caplog.records)
+
+
+# -- nested decisions on the least attachments --------------------------------
+
+PERFBENCH_INPUTS = Path(__file__).parents[1] / "perfbench" / "inputs"
+
+
+def _generated_instances():
+    for seed in range(1, 11):
+        for cat in CATEGORIES:
+            for size in (3, 4, 5, 6):
+                yield generate_workload(GenConfig(seed=seed, main_branch_size=size, category=cat))[1:]
+
+
+def _perfbench_instances():
+    # every perfbench query over its own views, as its nested operation runs
+    for path in sorted(PERFBENCH_INPUTS.glob("*.json")):
+        data = json.loads(path.read_text())
+        for e in data["queries"]:
+            yield tree_from_text(e["text"]), ViewSet.from_texts({n: data["views"][n] for n in e["views"]})
+
+
+NESTED_CORPORA = {
+    "generated": _generated_instances,
+    "criterion5": lambda: chain.from_iterable(es_rewrite_instances(s) for s in (811, 7, 99)),
+    # criterion 8 reaches its 100 instances within these draws
+    "criterion8": lambda: islice(minimal_containment_draws(42), 115),
+    "perfbench": _perfbench_instances,
+}
+
+
+def _graph_key(graph):
+    if graph is None:
+        return None
+    return sorted(graph.attachments.items()), pattern_to_json(graph.base), print_expr(graph.to_expr())
+
+
+@pytest.mark.parametrize("corpus", NESTED_CORPORA)
+def test_nested_rewrite_decides_like_equivalence(monkeypatch, corpus):
+    instances = list(NESTED_CORPORA[corpus]())  # generating may rewrite too
+    mod = importlib.import_module("xpviews.rewrite")
+    decide, dropped = mod._decide, []
+
+    def spy(least, every, *args):
+        dropped.append(every is not None)
+        return decide(least, every, *args)
+
+    monkeypatch.setattr(mod, "_decide", spy)
+    found = 0
+    for q, views in instances:
+        got = _graph_key(nested_rewrite(q, views))
+        assert got == _graph_key(nested_rewrite_by_equivalence(q, views)), to_text(q)
+        found += got is not None
+    assert found == {"generated": 120, "criterion5": 303, "criterion8": 66, "perfbench": 105}[corpus]
+    # candidates whose least attachments leave some view out
+    assert sum(dropped) == {"generated": 97, "criterion5": 103, "criterion8": 29, "perfbench": 84}[corpus]
+
+
+@pytest.mark.parametrize("corpus", NESTED_CORPORA)
+def test_candidate_unfolding_contains_the_query(corpus):
+    # the half of equivalence that nested_rewrite leaves undecided
+    candidates = 0
+    for q, views in NESTED_CORPORA[corpus]():
+        cand = build_rewrite_candidate(q, views)
+        if cand is not None:
+            assert contains(cand.unfold(), q), to_text(q)
+            candidates += 1
+    assert candidates == {"generated": 120, "criterion5": 604, "criterion8": 100, "perfbench": 105}[corpus]
+
+
+def test_nested_witness_refutes_on_the_least_attachments(monkeypatch):
+    # v1 ⊑ v0, so v0 is dropped at the output.  The fixpoint of the rest
+    # stays a DAG, and its first interleaving puts the view's first a
+    # below another one, outside q.
+    refuted = _record_refutations(monkeypatch)
+    q = tree_from_text('doc("L")/a[a]//a')
+    views = ViewSet.from_texts({"v0": 'doc("L")//a', "v1": 'doc("L")/a//a'})
+    assert build_rewrite_candidate(q, views).attachments == {1: ["v0"], 3: ["v0", "v1"]}
+    assert nested_rewrite(q, views) is None
+    assert refuted == [q]
+    assert nested_rewrite_by_equivalence(q, views) is None
+
+
+def test_nested_rules_rerun_on_every_attachment(monkeypatch):
+    # u0 and u1 are equivalent and attach at d; u1 is dropped.  Only u1's
+    # a[d//a] lets the rules merge with u2, so on the least attachments the
+    # fixpoint stays a DAG; no witness refutes it, and the rules run again
+    # on the whole unfolding and reach a tree inside q.
+    mod = importlib.import_module("xpviews.rewrite")
+    real, fixpoints = mod.apply_rules, []
+
+    def apply_rules(d):
+        fixpoints.append(real(d)[0])
+        return fixpoints[-1], []
+
+    monkeypatch.setattr(mod, "apply_rules", apply_rules)
+    views = ViewSet.from_texts(
+        {
+            "u0": 'doc("L")//e//a/d[a][.//c]',
+            "u1": 'doc("L")//e//a[d//a]/d[a][.//c]',
+            "u2": 'doc("L")//e[c="y"]//a[d//a]//d[.//c]',
+        }
+    )
+    q = tree_from_text('doc("L")//e[c="y"]//a[d//a]/d[a][.//c]')
+    graph = nested_rewrite(q, views)
+    assert [f.is_tree() for f in fixpoints] == [False, True]
+    assert graph.attachments == {q.out: ["u0", "u1", "u2"]}
+    assert _graph_key(graph) == _graph_key(nested_rewrite_by_equivalence(q, views))

@@ -21,14 +21,15 @@ from xpviews import (
     tree_from_text,
     try_rule,
 )
-from xpviews.pattern import canon_key, dag_intersect, main_branch, pattern_to_json, to_text
-from xpviews.rules import RULE_ORDER, _run_maps
+from xpviews.pattern import Pattern, canon_key, dag_intersect, main_branch, pattern_to_json, to_text
+from xpviews.rules import RULE_ORDER, _r1_forced_pair, _run_maps
 from xpviews.syntax import CHILD, DESC, parse
 
 from conftest import (
     apply_rules_ungated,
     chain_maps_oracle,
     linear_maps_oracle,
+    r1_forced_pair_by_nodes,
     random_dag_corpus,
     random_es_pattern,
     random_tree_pattern,
@@ -333,6 +334,43 @@ def test_gated_fixpoint_matches_the_ungated_loop(seed):
             assert not _same_fixpoint(t)
         fired_total += len(_same_fixpoint(d))
     assert fired_total > 500
+
+
+def _forked_at_b(parents: str, kids: str) -> Pattern:
+    """A main-branch node b with a /-parent per letter of ``parents``, each
+    below the root by //, and a /-child per letter of ``kids``, each above
+    the output by //."""
+    d = Pattern()
+    d.root = d.add_node("L")
+    ups = [d.add_node(label) for label in parents]
+    b = d.add_node("b")
+    downs = [d.add_node(label) for label in kids]
+    d.out = d.add_node("o")
+    for x in ups:
+        d.add_edge(d.root, x, DESC)
+        d.add_edge(x, b, CHILD)
+    for x in downs:
+        d.add_edge(b, x, CHILD)
+        d.add_edge(x, d.out, DESC)
+    return d
+
+
+def test_r1_pair_matches_the_node_by_node_scan():
+    # the one-pass scan against the old per-node one; along the fixpoints
+    # the ungated loop, which uses the per-node scan, compares their traces.
+    # Ids run root, parents, b, children: b's children come before its
+    # parents, then the least label, then the two least ids.
+    cases = [("aa", "cc", (4, 5)), ("aaa", "c", (1, 2)), ("aa", "dccd", (5, 6)), ("a", "ddd", (3, 4))]
+    for parents, kids, pair in cases:
+        d = _forked_at_b(parents, kids)
+        assert _r1_forced_pair(d) == r1_forced_pair_by_nodes(d) == pair, (parents, kids)
+    forced = 0
+    for _, d, parts in random_dag_corpus(7, 500):
+        for p in [d, *parts]:
+            want = r1_forced_pair_by_nodes(p)
+            assert _r1_forced_pair(p) == want, to_text(p) if p.is_tree() else sorted(p.edges)
+            forced += want is not None
+    assert forced > 100
 
 
 def test_gated_fixpoint_matches_the_ungated_loop_on_the_termination_sweep():
