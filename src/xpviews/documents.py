@@ -37,6 +37,7 @@ class XmlTree:
         self._rank: Optional[dict[int, int]] = None
         self._end: dict[int, int] = {}
         self._ranked: dict[str, tuple[list[int], list[int]]] = {}
+        self._parents: dict[str, set[int]] = {}
 
     def add_node(self, label: str, parent: Optional[int], text: str = "") -> int:
         nid = self._next
@@ -78,13 +79,22 @@ class XmlTree:
             ranks, nodes = ranked.setdefault(self.labels[n], ([], []))
             ranks.append(i)
             nodes.append(n)
-        self._rank, self._end, self._ranked = rank, end, ranked
+        self._rank, self._end, self._ranked, self._parents = rank, end, ranked, {}
 
     def nodes_labelled(self, label: str) -> list[int]:
         """The nodes labelled ``label``, in preorder."""
         if self._rank is None:
             self._index()
         return self._ranked.get(label, ((), []))[1]
+
+    def parents_of(self, label: str) -> set[int]:
+        """The parents of the nodes labelled ``label``, built on first use."""
+        if self._rank is None:
+            self._index()
+        got = self._parents.get(label)
+        if got is None:
+            got = self._parents[label] = {self.parent[n] for n in self.nodes_labelled(label)} - {None}
+        return got
 
     def span(self, n: int, label: str) -> tuple[list[int], int, int]:
         """The preorder list of ``label``'s nodes, and the bounds of the
@@ -447,8 +457,12 @@ def eval_plan(plan: Expr, docs: dict[str, ViewDocument]) -> set[int]:
     The result is a set of original node ids in the base document.
     Intersections intersect original ids, and navigation stays inside a
     view's answer subtrees.  An intersection enumerates only its cheapest
-    branch.  Every other branch checks each surviving id by climbing from it
-    towards an answer root of its view (a semi-join).
+    branch; each other branch filters the surviving ids as one set (a
+    semi-join): up its main branch to parents or strict ancestors, keeping
+    the nodes that pass each step, then down from those that are start
+    nodes.  Predicates are decided on sets too, a ``/`` one with nothing
+    below it against ``XmlTree.parents_of`` its label (a set per label, at
+    most one id per store node, held until the store changes).
     """
     return _compile(plan, docs).run()
 
@@ -485,20 +499,22 @@ class _Meet:
         for b in rest:
             if not ids:
                 break
-            ids = {x for x in ids if b.has(x)}
+            ids = b.filter(ids)
         return ids
 
-    def has(self, x: int) -> bool:
-        return all(b.has(x) for b in self.branches)
+    def filter(self, ids: set[int]) -> set[int]:
+        for b in self.branches:
+            if not ids:
+                break
+            ids = b.filter(ids)
+        return ids
 
 
 class _Navigation:
     """The pattern of ``doc(v)/v[preds]/steps`` from a view's answer roots,
     or of ``(base)/steps`` from the answers of another plan, in one store.
-
-    ``fits(n, x)`` holds when store node ``x`` satisfies the text test and
-    the predicates of pattern node ``n``; each pair is decided once.  Labels
-    are checked where nodes are drawn, and the root's label is unused.
+    Labels are checked where nodes are drawn, and the root's label is
+    unused.
     """
 
     def __init__(self, store: XmlTree, p: Pattern, start: tuple[int, ...] | _Meet | _Navigation):
@@ -514,57 +530,43 @@ class _Navigation:
         # pattern nodes whose store nodes need no test beyond the label
         self.plain = {n for n in p.nodes if not self.preds[n] and self.tests[n] is None}
         self.cost = len(self.roots) if self.base is None else self.base.cost
-        self._fit: dict[int, dict[int, bool]] = {n: {} for n in p.nodes}
-        self._skip: dict[int, dict[int, int]] = {n: {} for n in p.nodes}
-        # per main-branch position i: store node -> whether it takes mb[i]
-        # below a match of mb[:i] (``_at``), or whether it or an ancestor
-        # does (``_up``)
-        self._at_memo: list[dict[int, bool]] = [{} for _ in self.mb]
-        self._up_memo: list[dict[int, bool]] = [{} for _ in self.mb]
 
-    def fits(self, pn: int, x: int) -> bool:
-        memo = self._fit[pn]
-        got = memo.get(x)
-        if got is None:
-            t, plain = self.store, self.plain
-            got = self.tests[pn] is None or t.texts[x] == self.tests[pn]
-            for b, axis, label in self.preds[pn] if got else ():
-                if axis == CHILD:
-                    got = any(
-                        t.labels[y] == label and (b in plain or self.fits(b, y))
-                        for y in t.children[x]
-                    )
+    def _tested(self, pn: int, xs: Iterable[int]) -> set[int]:
+        test, texts = self.tests[pn], self.store.texts
+        return set(xs) if test is None else {x for x in xs if texts[x] == test}
+
+    def keep(self, pn: int, xs: Iterable[int]) -> set[int]:
+        """The store nodes of ``xs`` that pass the text test and the
+        predicates of pattern node ``pn``."""
+        t, plain = self.store, self.plain
+        # An explicit post-order over the predicate subtree.  A frame holds
+        # the store nodes still alive for a pattern node, its predicates not
+        # yet decided, and the axis from the node of the frame below it.
+        stack = [[self._tested(pn, xs), iter(self.preds[pn]), None]]
+        while True:
+            frame = stack[-1]
+            alive, todo, axis = frame
+            pred = next(todo, None) if alive else None
+            if pred is None:
+                stack.pop()
+                if not stack:
+                    return alive
+                up = {t.parent[y] for y in alive} if axis == CHILD else _strict_ancestors(t, alive)
+                stack[-1][0] &= up
+                continue
+            b, k, label = pred
+            if b in plain:
+                if k == CHILD:
+                    frame[0] = alive & t.parents_of(label)
                 else:
-                    nodes, lo, hi = t.span(x, label)
-                    got = lo < hi if b in plain else self._fits_in(b, nodes, lo, hi)
-                if not got:
-                    break
-            memo[x] = got
-        return got
-
-    def _fits_in(self, pn: int, nodes: list[int], lo: int, hi: int) -> bool:
-        """Whether a node of ``nodes[lo:hi]`` fits ``pn``.  Known misses are
-        jumped over, so nested spans do not rescan them."""
-        skip = self._skip[pn]  # position -> a later one; all between are misses
-        passed = []
-        k = lo
-        while k < hi:
-            j = skip.get(k)
-            if j is None:
-                if self.fits(pn, nodes[k]):
-                    break
-                j = k + 1
-            passed.append(k)
-            k = j
-        for i in passed:
-            skip[i] = k
-        return k < hi
-
-    def _starts_at(self, x: int) -> bool:
-        if self.base is not None:
-            return self.base.has(x)
-        i = bisect_left(self.roots, x)
-        return i < len(self.roots) and self.roots[i] == x
+                    spans = ((x, t.span(x, label)) for x in alive)
+                    frame[0] = {x for x, (_, lo, hi) in spans if lo < hi}
+            elif k == CHILD:
+                sub = [c for x in alive for c in t.children[x] if t.labels[c] == label]
+                stack.append([self._tested(b, sub), iter(self.preds[b]), k])
+            else:
+                sub = [y for x in t.outermost(alive) for y in t.below(x, label)]
+                stack.append([self._tested(b, sub), iter(self.preds[b]), k])
 
     def run(self) -> set[int]:
         """Navigate forward from the start nodes."""
@@ -578,43 +580,40 @@ class _Navigation:
                 else:
                     xs = [y for x in t.outermost(xs) for y in t.below(x, label)]
             if pn not in self.plain:
-                xs = [x for x in xs if self.fits(pn, x)]
+                xs = self.keep(pn, xs)
         return set(xs)
 
-    def has(self, x: int) -> bool:
-        """Whether ``x`` is an answer: climb the main branch upward from it
-        to a start node."""
-        return x in self.store.labels and self._at(len(self.mb) - 1, x)
-
-    def _at(self, i: int, x: int) -> bool:
-        memo = self._at_memo[i]
-        got = memo.get(x)
-        if got is None:
-            pn = self.mb[i]
-            got = self.store.labels[x] == self.labels[pn] if i else self._starts_at(x)
-            got = got and (pn in self.plain or self.fits(pn, x))
-            if got and i:
-                up = self.store.parent[x]
-                got = up is not None and (
-                    self._at(i - 1, up) if self.axes[i - 1] == CHILD else self._up(i - 1, up)
-                )
-            memo[x] = got
-        return got
-
-    def _up(self, i: int, x: Optional[int]) -> bool:
-        # Every node climbed past is memoised, so each is climbed once per i.
-        memo, parent = self._up_memo[i], self.store.parent
-        path = []
-        while x is not None and x not in memo:
-            if self._at(i, x):
-                memo[x] = True
+    def filter(self, ids: Iterable[int]) -> set[int]:
+        """The answers among ``ids``.  Going up the main branch from the
+        output gives each position's candidates; going down from the
+        candidates that are start nodes keeps the chains that connect."""
+        t, mb, labels = self.store, self.mb, self.store.labels
+        # Ids outside the store drop out at the first label check, or at the
+        # start nodes, which lie in the store.
+        xs = ids
+        cands: list[set[int]] = []  # per position, from the output up
+        for i in range(len(mb) - 1, 0, -1):
+            label = self.labels[mb[i]]
+            xs = self.keep(mb[i], [x for x in xs if labels.get(x) == label])
+            if not xs:
+                return xs
+            cands.append(xs)
+            if self.axes[i - 1] == CHILD:
+                xs = {t.parent[x] for x in xs}
+                xs.discard(None)
+            else:
+                xs = _strict_ancestors(t, xs)
+        if self.base is None:
+            roots = self.roots
+            xs = {x for x in xs if (j := bisect_left(roots, x)) < len(roots) and roots[j] == x}
+        else:
+            xs = self.base.filter(xs)
+        xs = self.keep(mb[0], xs)
+        for axis, here in zip(self.axes, reversed(cands)):
+            if not xs:
                 break
-            path.append(x)
-            x = parent[x]
-        got = x is not None and memo[x]
-        for y in path:
-            memo[y] = got
-        return got
+            xs = {y for y in here if t.parent[y] in xs} if axis == CHILD else _below(t, xs, here)
+        return xs
 
 
 # ---------------------------------------------------------------------------

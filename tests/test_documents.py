@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from xpviews import (
+    EFFICIENT,
     EMPTY,
     TreeGenConfig,
     ViewSet,
@@ -16,10 +17,11 @@ from xpviews import (
     materialize_view,
     parse_xml,
     print_xml,
+    rewrite_detailed,
     tree_from_text,
     unfold_expr,
 )
-from xpviews.documents import UnsupportedXml, _embed, _steps_pattern
+from xpviews.documents import UnsupportedXml, _compile, _embed, _steps_pattern
 from xpviews.pattern import main_branch
 from xpviews.syntax import CHILD, DESC, Compensated, Intersect, Path, Pred, Step, parse, print_expr
 
@@ -459,39 +461,42 @@ def test_text_predicate_existential_semantics():
 LABELS = ("a", "b")
 
 
-def _random_preds(rng, depth=2):
+def _random_preds(rng, depth=2, labels=LABELS, p=0.2):
+    """Predicates to ``depth`` levels; each level adds one more with
+    probability ``p``."""
     preds = []
-    while depth and rng.random() < 0.2:
+    while depth and rng.random() < p:
         steps = [
-            Step(rng.choice(LABELS), rng.choice((CHILD, DESC)), _random_preds(rng, depth - 1))
+            Step(rng.choice(labels), rng.choice((CHILD, DESC)), _random_preds(rng, depth - 1, labels, p))
             for _ in range(rng.randint(1, 2))
         ]
         preds.append(Pred(tuple(steps), rng.choice("xy") if rng.random() < 0.3 else None))
     return tuple(preds)
 
 
-def _random_steps(rng, n, out):
+def _random_steps(rng, n, out, labels=LABELS, p=0.2):
     """``n`` random steps, the last labelled ``out``."""
-    labels = [rng.choice(LABELS) for _ in range(n - 1)] + [out]
-    return tuple(Step(x, rng.choice((CHILD, DESC)), _random_preds(rng)) for x in labels)
+    path = [rng.choice(labels) for _ in range(n - 1)] + [out]
+    return tuple(Step(x, rng.choice((CHILD, DESC)), _random_preds(rng, 2, labels, p)) for x in path)
 
 
-def _random_plan(rng, views, depth, out):
-    """A random plan whose answers are labelled ``out``."""
+def _random_plan(rng, views, depth, out, labels=LABELS, p=0.2):
+    """A random plan whose answers are labelled ``out``; ``labels`` and
+    ``p`` go to its predicates and steps."""
     r = rng.random()
     if depth == 0 or r < 0.5:
         name = rng.choice(list(views))
         v = views[name]
         fits = v.label(v.out) == out
-        head = Step(name, CHILD, _random_preds(rng))
-        steps = _random_steps(rng, rng.randint(0 if fits else 1, 2), out)
+        head = Step(name, CHILD, _random_preds(rng, 2, labels, p))
+        steps = _random_steps(rng, rng.randint(0 if fits else 1, 2), out, labels, p)
         return Path(name, (head,) + steps)
     if r < 0.8:
         return Intersect(
-            tuple(_random_plan(rng, views, depth - 1, out) for _ in range(rng.choice((2, 2, 3))))
+            tuple(_random_plan(rng, views, depth - 1, out, labels, p) for _ in range(rng.choice((2, 2, 3))))
         )
-    base = _random_plan(rng, views, depth - 1, rng.choice(LABELS))
-    return Compensated(base, _random_steps(rng, rng.randint(1, 2), out))
+    base = _random_plan(rng, views, depth - 1, rng.choice(labels), labels, p)
+    return Compensated(base, _random_steps(rng, rng.randint(1, 2), out, labels, p))
 
 
 def _plan_on_base(plan, views, t):
@@ -546,3 +551,77 @@ def test_plan_eval_equals_definition_property(seed, deep):
     for _ in range(6):
         plan = _random_plan(rng, views, 3, rng.choice(LABELS))
         assert eval_plan(plan, docs) == _plan_on_base(plan, views, t), print_expr(plan)
+
+
+def test_plan_eval_equals_definition_with_dense_predicates():
+    # The property above draws a predicate with probability 0.2 per level, so
+    # a / predicate that carries predicates is rare there.  Here steps carry
+    # predicates two levels deep with probability 0.5 per level, with text
+    # tests, over three labels, and the branches of a plan sit in different
+    # stores.  Random plans are mostly empty, and an intersection whose first
+    # branch is empty filters nothing, so each plan also filters every node
+    # of the base document, in a store or not.
+    labels = ("a", "b", "c")
+    rng = random.Random(24)
+    answered = 0
+    for _ in range(80):
+        t = generate_tree(
+            TreeGenConfig(depth=rng.randint(4, 6), fanout=3, labels=labels, seed=rng.randrange(10**6))
+        )
+        views = ViewSet(
+            {
+                "w1": random_tree_pattern(rng, mb_len=rng.randint(1, 3), labels=labels, pred_prob=0.5),
+                "w2": random_tree_pattern(rng, mb_len=rng.randint(1, 2), labels=labels, pred_prob=0.5),
+                "w3": tree_from_text(f'doc("L")//{rng.choice(labels)}'),
+                "w4": tree_from_text(f'doc("L")//{rng.choice(labels)}'),
+            }
+        )
+        # w1 and w3 share a store; w2 and w4 have one each
+        docs = materialize_all(ViewSet({n: views[n] for n in ("w1", "w3")}), t)
+        for name in ("w2", "w4"):
+            docs[name] = materialize_view(views[name], name, t)
+        for _ in range(8):
+            plan = _random_plan(rng, views, 3, rng.choice(labels), labels, 0.5)
+            want = _plan_on_base(plan, views, t)
+            assert eval_plan(plan, docs) == want, print_expr(plan)
+            assert _compile(plan, docs).filter(set(t.labels)) == want, print_expr(plan)
+            answered += bool(want)
+    assert answered >= 60
+
+
+def test_plan_eval_on_a_deep_chain():
+    # A 3,000-deep chain with a leaf beside every seventh node: // steps, //
+    # predicates that carry predicates of their own, and views whose answers
+    # nest, with no recursion along the depth.
+    rng = random.Random(3)
+    chain = ["a"] + [rng.choice("ab") for _ in range(2_999)]
+    parts = [(f"<c>{rng.choice('xy')}</c>" if i % 7 == 0 else "") + f"<{x}>" for i, x in enumerate(chain)]
+    t = parse_xml("<L>" + "".join(parts) + "".join(f"</{x}>" for x in reversed(chain)) + "</L>")
+    views = ViewSet.from_texts({"u": 'doc("L")/a', "v": 'doc("L")//a', "w": 'doc("L")//b[.//c]'})
+    docs = materialize_all(ViewSet({n: views[n] for n in ("u", "v")}), t)
+    docs["w"] = materialize_view(views["w"], "w", t)
+    for text in [
+        'doc("v")/v[.//b[c]]//b[.//a[.//c="x"]]',
+        'doc("v")/v//a & doc("w")/w//a[.//b[c]]',
+        '(doc("v")/v[.//b//a[c]] & doc("u")/u)//b[.//c="y"]',
+        'doc("u")/u//b[.//a[b][.//c]] & doc("v")/v//b[.//c] & doc("w")/w',
+        '((doc("w")/w & doc("v")/v//b)//a[c] & doc("v")/v)//b',
+    ]:
+        plan = parse(text)
+        want = _plan_on_base(plan, views, t)
+        assert want, text
+        assert eval_plan(plan, docs) == want, text
+        assert _compile(plan, docs).filter(set(t.labels)) == want, text
+
+
+def test_plan_from_a_large_view_with_nested_predicates():
+    # The query is answered from one view whose answers nest, and the plan's
+    # head carries a / predicate that carries predicates.
+    t = generate_tree(TreeGenConfig(depth=6, fanout=4, labels=("b", "d", "f"), seed=0))
+    views = ViewSet.from_texts({"v0": 'doc("L")//b'})
+    q = tree_from_text('doc("L")//b/b[d]/f')
+    out = rewrite_detailed(q, views, EFFICIENT)
+    assert print_expr(out.plan.expr) == 'doc("v0")/v0[b[d][f]]/b[d]/f'
+    want = eval_tree_pattern(q, t)
+    assert len(want) == 22
+    assert eval_plan(out.plan.expr, materialize_all(views, t)) == want
