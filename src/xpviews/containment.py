@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .syntax import CHILD
 from .pattern import EMPTY, Pattern
 
 MAPPING = "mapping"
@@ -23,17 +22,24 @@ ROOT_MAPPING = "root-mapping"
 CONTAINMENT = "containment-mapping"
 
 
-def _edge_ok(dst: Pattern, x: int, k: str, targets: set[int]) -> bool:
-    """Whether an edge of kind ``k`` from ``x`` can end in ``targets``."""
-    if k == CHILD:
-        return any(y in targets for y, kk in dst.out_edges(x) if kk == CHILD)
-    return not dst.descendants(x).isdisjoint(targets)
-
-
-def _linked(dst: Pattern):
-    """``related(x, y, k)`` for images in ``dst``: a source edge of kind
-    ``k`` needs a /-edge of ``dst`` from ``x`` to ``y``, or any path."""
-    return lambda x, y, k: (x, y, CHILD) in dst.edges if k == CHILD else dst.reaches(x, y)
+def _feasible(p: Pattern, pool, up) -> Optional[dict[int, set[int]]]:
+    """Bottom-up feasibility sets: the images of each node of ``p``, drawn
+    from ``pool(n)``, under which its descendants map, each edge of kind
+    ``k`` narrowing by ``up(images of its end, k)``.  Exact on tree-shaped
+    patterns and on predicate subtrees, which have one parent per node; a
+    sound pruner on the main branch of a DAG.  None when some node has no
+    image.  Patterns and documents both decide embeddings with it."""
+    cand: dict[int, set[int]] = {}
+    for a in reversed(p.topo_order()):
+        xs = pool(a)
+        for b, k in p.out_edges(a):
+            if not xs:
+                break
+            xs = xs & up(cand[b], k)
+        if not xs:
+            return None
+        cand[a] = xs
+    return cand
 
 
 def _candidates(
@@ -42,36 +48,32 @@ def _candidates(
     pin: dict[int, int],
     allowed: Optional[dict[int, frozenset[int]]] = None,
 ) -> Optional[dict[int, set[int]]]:
-    """Bottom-up feasibility sets: the images of each source node under
-    which its descendants map.  Exact on tree-shaped sources and on
-    predicate subtrees, which have one parent per node; a sound pruner on
-    the main branch of a DAG source.  None when some node has no image."""
-    src_mbn = src.mb_nodes()
-    dst_mbn = dst.mb_nodes()
-    cand: dict[int, set[int]] = {}
-    for a in reversed(src.topo_order()):
-        req = src.test(a)
-        on_mb = a in src_mbn
-        pool = {
+    """The feasibility sets of ``src`` in ``dst``.  A node's pool is its
+    label's nodes with its text test, main-branch nodes for a main-branch
+    node, narrowed by ``pin`` and ``allowed``."""
+    src_mbn, dst_mbn = src.mb_nodes(), dst.mb_nodes()
+    index = dst.label_index()
+
+    def pool(a: int) -> set[int]:
+        req, on_mb = src.test(a), a in src_mbn
+        return {
             x
-            for x in dst.label_index().get(src.label(a), ())
+            for x in index.get(src.label(a), ())
             if (req is None or dst.test(x) == req)
             and (not on_mb or x in dst_mbn)
             and (allowed is None or a not in allowed or x in allowed[a])
             and (a not in pin or x == pin[a])
-            and all(_edge_ok(dst, x, k, cand[b]) for b, k in src.out_edges(a))
         }
-        if not pool:
-            return None
-        cand[a] = pool
-    return cand
+
+    return _feasible(src, pool, dst.up)
 
 
-def _arc_consistent(p: Pattern, dom: dict[int, set[int]], related) -> bool:
-    """Narrow ``dom``, the images of ``p``'s main-branch nodes, until every
-    image has a partner at the other end of each main-branch edge; False as
-    soon as some node has no image left.  ``related(x, y, k)`` says whether
-    images ``x`` and ``y`` fit an edge of kind ``k``.
+def _arc_consistent(p: Pattern, dom: dict[int, set[int]], target) -> bool:
+    """Narrow ``dom``, the images of ``p``'s main-branch nodes in
+    ``target`` (a pattern or a document), until every image has a partner
+    at the other end of each main-branch edge; False as soon as some node
+    has no image left.  Each edge narrows its two ends a set at a time,
+    with ``target.up`` and ``target.under``.
 
     When the images lie on one chain (the main branch of a tree target, or
     a root path of a document), / ("next position") and // ("any later
@@ -90,8 +92,8 @@ def _arc_consistent(p: Pattern, dom: dict[int, set[int]], related) -> bool:
         e = todo.popleft()
         queued.discard(e)
         a, b, k = e
-        xs = {x for x in dom[a] if any(related(x, y, k) for y in dom[b])}
-        ys = {y for y in dom[b] if any(related(x, y, k) for x in xs)}
+        xs = dom[a] & target.up(dom[b], k)
+        ys = target.under(xs, dom[b], k)
         for n, kept in ((a, xs), (b, ys)):
             if len(kept) < len(dom[n]):
                 if not kept:
@@ -130,7 +132,7 @@ def has_mapping(
             return False
         pin[src.out] = dst.out
     cand = _candidates(src, dst, pin, allowed)
-    return cand is not None and (src.is_tree() or _arc_consistent(src, cand, _linked(dst)))
+    return cand is not None and (src.is_tree() or _arc_consistent(src, cand, dst))
 
 
 def root_mapping_out_images(src: Pattern, dst: Pattern) -> list[int]:
@@ -142,7 +144,7 @@ def root_mapping_out_images(src: Pattern, dst: Pattern) -> list[int]:
     if not src.is_tree():
         raise ValueError("root_mapping_out_images needs a tree-shaped source")
     cand = _candidates(src, dst, {src.root: dst.root})
-    if cand is None or not _arc_consistent(src, cand, _linked(dst)):
+    if cand is None or not _arc_consistent(src, cand, dst):
         return []
     return sorted(cand[src.out])
 

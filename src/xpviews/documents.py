@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 from .syntax import CHILD, Compensated, Expr, Intersect, Path, Pred, Step
 from .pattern import EMPTY, Pattern, UnknownView, ViewSet, _graft_pred, _graft_steps, main_branch
-from .containment import _arc_consistent
+from .containment import _arc_consistent, _feasible
 
 
 class UnsupportedXml(ValueError):
@@ -124,10 +124,45 @@ class XmlTree:
                 reach = end[n]
         return out
 
-    def is_strict_descendant(self, d: int, a: int) -> bool:
-        if self._rank is None:
-            self._index()
-        return self._rank[a] < self._rank[d] < self._end[a]
+    def up(self, ys: Iterable[int], axis: str) -> set[int]:
+        """The parents of ``ys`` (axis /), or all their strict ancestors
+        (axis //).  Each node is climbed from at most once."""
+        parent = self.parent
+        if axis == CHILD:
+            got = {parent[y] for y in ys}
+            got.discard(None)
+            return got
+        seen: set[int] = set()
+        for y in ys:
+            x = parent[y]
+            while x is not None and x not in seen:
+                seen.add(x)
+                x = parent[x]
+        return seen
+
+    def under(self, xs: set[int], ys: set[int], axis: str) -> set[int]:
+        """The nodes of ``ys`` whose parent (axis /), or some strict
+        ancestor (axis //), is in ``xs``.  Each ancestor's answer is
+        memoised, so every node is climbed at most once."""
+        parent = self.parent
+        if axis == CHILD:
+            if len(xs) < len(ys):  # read the smaller side
+                return {c for x in xs for c in self.children[x] if c in ys}
+            return {y for y in ys if parent[y] in xs}
+        met: dict[int, bool] = {}  # node -> whether it or an ancestor is in `xs`
+        res = set()
+        for y in ys:
+            path = []
+            x = parent[y]
+            while x is not None and x not in met and x not in xs:
+                path.append(x)
+                x = parent[x]
+            hit = x is not None and (x in xs or met[x])
+            for z in path:
+                met[z] = hit
+            if hit:
+                res.add(y)
+        return res
 
     def descendants(self, n: int) -> list[int]:
         out = []
@@ -202,59 +237,17 @@ def _escape(s: str) -> str:
 # evaluation
 
 
-def _strict_ancestors(t: XmlTree, nodes: Iterable[int]) -> set[int]:
-    seen: set[int] = set()
-    for n in nodes:
-        x = t.parent[n]
-        while x is not None and x not in seen:
-            seen.add(x)
-            x = t.parent[x]
-    return seen
-
-
-def _candidate_sets(
-    p: Pattern, t: XmlTree, starts: Iterable[int]
-) -> Optional[dict[int, set[int]]]:
+def _candidate_sets(p: Pattern, t: XmlTree, starts: Iterable[int]) -> Optional[dict[int, set[int]]]:
     """Bottom-up feasibility sets; exact for tree-shaped patterns.  The
-    root's pool is ``starts``, whatever their labels."""
-    order = p.topo_order()
-    cand: dict[int, set[int]] = {}
-    for pn in reversed(order):
-        base = set(starts) if pn == p.root else set(t.nodes_labelled(p.label(pn)))
+    root's pool is ``starts``, whatever their labels, and any other node's
+    is its label's nodes; both keep only the nodes that pass its text test."""
+
+    def pool(pn: int) -> set[int]:
+        xs = starts if pn == p.root else t.nodes_labelled(p.label(pn))
         req = p.test(pn)
-        if req is not None:
-            base = {x for x in base if t.texts[x] == req}
-        for b, k in p.out_edges(pn):
-            if not base:
-                break
-            sub = cand[b]
-            if k == CHILD:
-                base &= {t.parent[c] for c in sub if t.parent[c] is not None}
-            else:
-                base &= _strict_ancestors(t, sub)
-        cand[pn] = base
-        if not base:
-            return None
-    return cand
+        return set(xs) if req is None else {x for x in xs if t.texts[x] == req}
 
-
-def _below(t: XmlTree, here: set[int], nodes: Iterable[int]) -> set[int]:
-    """The nodes with a strict ancestor in ``here``.  Each ancestor's answer
-    is memoised, so every document node is climbed at most once."""
-    met: dict[int, bool] = {}  # node -> whether it or an ancestor is in `here`
-    res = set()
-    for d in nodes:
-        path = []
-        x = t.parent[d]
-        while x is not None and x not in met and x not in here:
-            path.append(x)
-            x = t.parent[x]
-        hit = x is not None and (x in here or met[x])
-        for y in path:
-            met[y] = hit
-        if hit:
-            res.add(d)
-    return res
+    return _feasible(p, pool, t.up)
 
 
 def eval_tree_pattern(p: Pattern, t: XmlTree) -> set[int]:
@@ -281,11 +274,7 @@ def _embed(p: Pattern, t: XmlTree, starts: Iterable[int]) -> set[int]:
             continue
         here = reach[pn]
         for b, k in p.out_edges(pn):
-            if k == CHILD:
-                nxt = {c for x in here for c in t.children[x] if c in cand[b]}
-            else:
-                nxt = _below(t, here, cand[b])
-            reach.setdefault(b, set()).update(nxt)
+            reach.setdefault(b, set()).update(t.under(here, cand[b], k))
     return reach.get(p.out, set())
 
 
@@ -303,16 +292,12 @@ def eval_dag_pattern(d, t: XmlTree) -> set[int]:
     if cand is None:
         return set()
     mbn = d.mb_nodes()
-
-    def related(x: int, y: int, k: str) -> bool:
-        return t.parent[y] == x if k == CHILD else t.is_strict_descendant(y, x)
-
     result = set()
     for out_img in cand[d.out]:
         path = set(_root_path(t, out_img))
         dom = {n: cand[n] & path for n in mbn}
         dom[d.out] = {out_img}
-        if _arc_consistent(d, dom, related):
+        if _arc_consistent(d, dom, t):
             result.add(out_img)
     return result
 
@@ -551,8 +536,7 @@ class _Navigation:
                 stack.pop()
                 if not stack:
                     return alive
-                up = {t.parent[y] for y in alive} if axis == CHILD else _strict_ancestors(t, alive)
-                stack[-1][0] &= up
+                stack[-1][0] &= t.up(alive, axis)
                 continue
             b, k, label = pred
             if b in plain:
@@ -598,11 +582,7 @@ class _Navigation:
             if not xs:
                 return xs
             cands.append(xs)
-            if self.axes[i - 1] == CHILD:
-                xs = {t.parent[x] for x in xs}
-                xs.discard(None)
-            else:
-                xs = _strict_ancestors(t, xs)
+            xs = t.up(xs, self.axes[i - 1])
         if self.base is None:
             roots = self.roots
             xs = {x for x in xs if (j := bisect_left(roots, x)) < len(roots) and roots[j] == x}
@@ -612,7 +592,7 @@ class _Navigation:
         for axis, here in zip(self.axes, reversed(cands)):
             if not xs:
                 break
-            xs = {y for y in here if t.parent[y] in xs} if axis == CHILD else _below(t, xs, here)
+            xs = t.under(xs, here, axis)
         return xs
 
 

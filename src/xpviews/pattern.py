@@ -195,6 +195,16 @@ class Pattern:
     def reaches(self, a: int, b: int) -> bool:
         return b in self.descendants(a)
 
+    def up(self, ys: Iterable[int], axis: str) -> set[int]:
+        """The nodes with a /-child in ``ys`` (axis /), or with any strict
+        descendant in ``ys`` (axis //)."""
+        return _step(self._adjacency()[1], ys, axis)
+
+    def under(self, xs: Iterable[int], ys: set[int], axis: str) -> set[int]:
+        """The nodes of ``ys`` whose /-parent (axis /), or some strict
+        ancestor (axis //), is in ``xs``."""
+        return _step(self._adjacency()[0], xs, axis) & ys
+
     def mb_nodes(self) -> frozenset[int]:
         """Nodes on some root-to-output path."""
         if self._mbn is None:
@@ -286,6 +296,21 @@ class Pattern:
             return f"<Pattern {to_text(self)}>"
         except Exception:
             return f"<Pattern {len(self.nodes)} nodes>"
+
+
+def _step(adj: dict[int, list[tuple[int, str]]], ns: Iterable[int], axis: str) -> set[int]:
+    """One step from ``ns`` along ``adj``: the /-neighbours (axis /), or
+    every node one or more edges away (axis //)."""
+    if axis == CHILD:
+        return {m for n in ns for m, k in adj[n] if k == CHILD}
+    seen: set[int] = set()
+    stack = list(ns)
+    while stack:
+        for m, _ in adj[stack.pop()]:
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
 
 
 # ---------------------------------------------------------------------------

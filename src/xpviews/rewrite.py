@@ -26,6 +26,7 @@ from .pattern import (
     _copy_into,
     _merge_run,
     _pred_of,
+    _step_of,
     compensate_expr,
     dag_intersect,
     lossless_prefixes,
@@ -441,53 +442,26 @@ class RewritingGraph:
         segments.
         """
         base = self.base
-        mb = [n for n in main_branch_order(base) if n in self.attachments]
+        mb = main_branch(base)
+        # steps[i] leads from mb[i] to mb[i + 1] and carries its predicates
+        steps = tuple(_step_of(base, a, b) for a, b in zip(mb, mb[1:]))
         cur: Optional[Expr] = None
-        prev: Optional[int] = None
-        for node in mb:
-            heads = [
-                Path(name, (Step(name, CHILD),)) for name in self.attachments[node]
-            ]
+        prev = 0
+        for i, node in enumerate(mb):
+            if node not in self.attachments:
+                continue
+            heads = [Path(name, (Step(name, CHILD),)) for name in self.attachments[node]]
             if cur is None:
-                preds = tuple(
-                    _pred_of(base, b, k) for b, k in base.pred_edges(node)
-                )
-                first = heads[0]
-                heads[0] = Path(
-                    first.doc, (Step(first.steps[0].label, CHILD, preds),)
-                )
+                preds = tuple(_pred_of(base, b, k) for b, k in base.pred_edges(node))
+                heads[0] = Path(heads[0].doc, (Step(heads[0].doc, CHILD, preds),))
                 branches = tuple(heads)
             else:
-                seg = _segment_steps(base, prev, node)
-                branches = (_append_steps(cur, seg),) + tuple(heads)
+                branches = (_append_steps(cur, steps[prev:i]),) + tuple(heads)
             cur = branches[0] if len(branches) == 1 else Intersect(branches)
-            prev = node
-        seg = _segment_steps(base, prev, base.out)
-        if seg:
-            cur = _append_steps(cur, seg)
+            prev = i
+        if steps[prev:]:
+            cur = _append_steps(cur, steps[prev:])
         return cur
-
-
-def main_branch_order(p: Pattern) -> list[int]:
-    mbn = p.mb_nodes()
-    order = [n for n in p.topo_order() if n in mbn]
-    return order
-
-
-def _segment_steps(p: Pattern, a: int, b: int) -> tuple[Step, ...]:
-    """Steps of the main-branch segment from a (exclusive) to b (inclusive)."""
-    if a == b:
-        return ()
-    chain = [b]
-    while chain[-1] != a:
-        parents = [x for x, _ in p.mb_in_edges(chain[-1])]
-        chain.append(parents[0])
-    chain.reverse()
-    steps = []
-    for prev, cur in zip(chain, chain[1:]):
-        preds = tuple(_pred_of(p, bb, kk) for bb, kk in p.pred_edges(cur))
-        steps.append(Step(p.label(cur), p.axis(prev, cur), preds))
-    return tuple(steps)
 
 
 def _append_steps(expr: Expr, steps: tuple[Step, ...]) -> Expr:

@@ -285,15 +285,11 @@ def print_expr(expr: Expr) -> str:
         head = f'doc("{expr.doc}")' if expr.doc is not None else ""
         return head + _steps_text(expr.steps)
     if isinstance(expr, Intersect):
-        return " & ".join(_branch_text(b) for b in expr.branches)
+        # a compensated branch keeps its parentheses
+        return " & ".join(print_expr(b) for b in expr.branches)
     if isinstance(expr, Compensated):
         return f"({print_expr(expr.base)})" + _steps_text(expr.steps)
     raise TypeError(type(expr))
-
-
-def _branch_text(expr: Expr) -> str:
-    # A compensated sub-expression inside an intersection keeps its parens.
-    return print_expr(expr)
 
 
 def _steps_text(steps: tuple[Step, ...]) -> str:

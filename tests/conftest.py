@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 import signal
+from collections import deque
 from contextlib import contextmanager
 
 import pytest
@@ -217,6 +218,15 @@ def alarm(seconds: int):
 # independent oracles
 
 
+def strictly_below(t, d: int, a: int) -> bool:
+    """Whether document node ``d`` lies strictly below ``a``, by climbing
+    parents."""
+    x = t.parent[d]
+    while x is not None and x != a:
+        x = t.parent[x]
+    return x is not None
+
+
 def brute_embeddings(p: Pattern, t) -> list[dict[int, int]]:
     """Every embedding of a pattern into a tree, by exhaustive assignment."""
     nodes = sorted(p.nodes)
@@ -242,7 +252,7 @@ def brute_embeddings(p: Pattern, t) -> list[dict[int, int]]:
                     if k == CHILD and t.parent[x] != assign[a]:
                         ok = False
                         break
-                    if k == DESC and not t.is_strict_descendant(x, assign[a]):
+                    if k == DESC and not strictly_below(t, x, assign[a]):
                         ok = False
                         break
             for b, k in p.out_edges(n):
@@ -250,7 +260,7 @@ def brute_embeddings(p: Pattern, t) -> list[dict[int, int]]:
                     if k == CHILD and t.parent[assign[b]] != x:
                         ok = False
                         break
-                    if k == DESC and not t.is_strict_descendant(assign[b], x):
+                    if k == DESC and not strictly_below(t, assign[b], x):
                         ok = False
                         break
             if ok:
@@ -332,6 +342,99 @@ def pinned_out_images(src: Pattern, dst: Pattern) -> list[int]:
     return [
         x for x in sorted(dst.mb_nodes()) if _brute_search(src, dst, [(src.root, dst.root), (src.out, x)])
     ]
+
+
+# Feasibility sets and arc consistency decided one node, or one pair of
+# nodes, at a time: oracles for ``containment._feasible`` and the set-level
+# steps ``up``/``under`` of patterns and documents.
+
+
+def _edge_ok(dst: Pattern, x: int, k: str, targets: set[int]) -> bool:
+    """Whether an edge of kind ``k`` from ``x`` can end in ``targets``."""
+    if k == CHILD:
+        return any(y in targets for y, kk in dst.out_edges(x) if kk == CHILD)
+    return not dst.descendants(x).isdisjoint(targets)
+
+
+def candidates_by_node(src: Pattern, dst: Pattern, pin: dict[int, int], allowed=None):
+    """``containment._candidates``, testing each same-label node of ``dst``
+    against every edge of the source node."""
+    src_mbn = src.mb_nodes()
+    dst_mbn = dst.mb_nodes()
+    cand: dict[int, set[int]] = {}
+    for a in reversed(src.topo_order()):
+        req = src.test(a)
+        on_mb = a in src_mbn
+        pool = {
+            x
+            for x in dst.label_index().get(src.label(a), ())
+            if (req is None or dst.test(x) == req)
+            and (not on_mb or x in dst_mbn)
+            and (allowed is None or a not in allowed or x in allowed[a])
+            and (a not in pin or x == pin[a])
+            and all(_edge_ok(dst, x, k, cand[b]) for b, k in src.out_edges(a))
+        }
+        if not pool:
+            return None
+        cand[a] = pool
+    return cand
+
+
+def linked(dst: Pattern):
+    """``related(x, y, k)`` for images in a pattern: a source edge of kind
+    ``k`` needs a /-edge of ``dst`` from ``x`` to ``y``, or any path."""
+    return lambda x, y, k: (x, y, CHILD) in dst.edges if k == CHILD else dst.reaches(x, y)
+
+
+def doc_related(t):
+    """``related(x, y, k)`` for images in a document: ``y`` a child of
+    ``x``, or strictly below it."""
+    return lambda x, y, k: t.parent[y] == x if k == CHILD else strictly_below(t, y, x)
+
+
+def doc_candidates_by_node(p: Pattern, t, starts):
+    """``documents._candidate_sets``, testing each node of the pool
+    against every edge of the pattern node."""
+    related = doc_related(t)
+    cand: dict[int, set[int]] = {}
+    for a in reversed(p.topo_order()):
+        req = p.test(a)
+        pool = starts if a == p.root else [x for x in t.labels if t.labels[x] == p.label(a)]
+        pool = {
+            x
+            for x in pool
+            if (req is None or t.texts[x] == req)
+            and all(any(related(x, y, k) for y in cand[b]) for b, k in p.out_edges(a))
+        }
+        if not pool:
+            return None
+        cand[a] = pool
+    return cand
+
+
+def arc_consistent_by_pairs(p: Pattern, dom: dict[int, set[int]], related) -> bool:
+    """``containment._arc_consistent`` with each edge narrowed pair by
+    pair through ``related(x, y, k)``, in the same order of edges."""
+    mbn = p.mb_nodes()
+    if not all(dom[n] for n in mbn):
+        return False
+    edges = sorted(e for e in p.edges if e[0] in mbn and e[1] in mbn)
+    todo, queued = deque(edges), set(edges)
+    while todo:
+        e = todo.popleft()
+        queued.discard(e)
+        a, b, k = e
+        xs = {x for x in dom[a] if any(related(x, y, k) for y in dom[b])}
+        ys = {y for y in dom[b] if any(related(x, y, k) for x in xs)}
+        for n, kept in ((a, xs), (b, ys)):
+            if len(kept) < len(dom[n]):
+                if not kept:
+                    return False
+                dom[n] = kept
+                again = [f for f in edges if n in f[:2] and f != e and f not in queued]
+                queued.update(again)
+                todo.extend(again)
+    return True
 
 
 def canonical_model(p: Pattern, z: str = "zz_fresh"):

@@ -108,7 +108,6 @@ RECURSIVE = [
     "pattern._graft_pred",
     "pattern._pred_of",
     "pattern.dag_from_expr",
-    "syntax._branch_text",
     "syntax._normalize_comp",
     "syntax._pred_text",
     "syntax._steps_text",
