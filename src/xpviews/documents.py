@@ -11,7 +11,7 @@ import random
 from bisect import bisect_left, bisect_right
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .syntax import CHILD, Compensated, Expr, Intersect, Path, Pred, Step
 from .pattern import EMPTY, Pattern, UnknownView, ViewSet, _graft_pred, _graft_steps, main_branch
@@ -88,7 +88,9 @@ class XmlTree:
         return self._ranked.get(label, ((), []))[1]
 
     def parents_of(self, label: str) -> set[int]:
-        """The parents of the nodes labelled ``label``, built on first use."""
+        """The parents of the nodes labelled ``label``, built on first use
+        and kept until the tree is indexed again (or, on a base document,
+        until the view fill that built them ends)."""
         if self._rank is None:
             self._index()
         got = self._parents.get(label)
@@ -104,11 +106,6 @@ class XmlTree:
         ranks, nodes = self._ranked.get(label, ((), []))
         lo = bisect_right(ranks, self._rank[n])
         return nodes, lo, bisect_left(ranks, self._end[n], lo)
-
-    def below(self, n: int, label: str) -> list[int]:
-        """The strict descendants of ``n`` labelled ``label``, in preorder."""
-        nodes, lo, hi = self.span(n, label)
-        return nodes[lo:hi]
 
     def outermost(self, nodes: Iterable[int]) -> list[int]:
         """The nodes of ``nodes`` without a strict ancestor among them, in
@@ -139,6 +136,29 @@ class XmlTree:
                 seen.add(x)
                 x = parent[x]
         return seen
+
+    def child_step(self, xs: Collection[int], label: str) -> list[int]:
+        """The children of ``xs`` labelled ``label``, read from the smaller
+        side: the children of ``xs``, or the label's nodes whose parent is
+        in ``xs``."""
+        nodes = self.nodes_labelled(label)
+        if len(xs) < len(nodes):
+            labels = self.labels
+            return [c for x in xs for c in self.children[x] if labels[c] == label]
+        xs, parent = set(xs), self.parent
+        return [y for y in nodes if parent[y] in xs]
+
+    def desc_step(self, xs: Iterable[int], label: str) -> list[int]:
+        """The strict descendants of ``xs`` labelled ``label``, each once:
+        the label's preorder slice below each outermost node of ``xs``."""
+        tops = self.outermost(xs)  # indexes the tree first
+        ranks, nodes = self._ranked.get(label, ((), []))
+        rank, end = self._rank, self._end
+        out: list[int] = []
+        for x in tops:
+            lo = bisect_right(ranks, rank[x])
+            out += nodes[lo:bisect_left(ranks, end[x], lo)]
+        return out
 
     def under(self, xs: set[int], ys: set[int], axis: str) -> set[int]:
         """The nodes of ``ys`` whose parent (axis /), or some strict
@@ -172,9 +192,6 @@ class XmlTree:
             out.append(x)
             stack.extend(self.children[x])
         return out
-
-    def subtree_nodes(self, n: int) -> list[int]:
-        return [n] + self.descendants(n)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +268,10 @@ def _candidate_sets(p: Pattern, t: XmlTree, starts: Iterable[int]) -> Optional[d
 
 
 def eval_tree_pattern(p: Pattern, t: XmlTree) -> set[int]:
-    """Output-node images over all embeddings of a tree pattern."""
+    """Output-node images over all embeddings of a tree pattern: direct
+    evaluation on the base document, the baseline that plans are compared
+    with.  It runs on ``_embed``; the view fill and plans run on
+    ``_Navigation``."""
     if p is EMPTY:
         return set()
     if not p.is_tree():
@@ -344,22 +364,43 @@ def _store_subtree(store: XmlTree, t: XmlTree, n: int) -> None:
     store._dirty()
 
 
+def _fill(views: Iterable[tuple[str, Pattern]], t: XmlTree, store: XmlTree) -> dict[str, ViewDocument]:
+    """Each view's answers over ``t``, their subtrees added to ``store``.
+
+    A tree view whose root label is ``t``'s runs on the plan navigator, as if
+    ``t`` were a view with the document root as its one answer root; EMPTY
+    and DAG views go through ``eval_tree_pattern``.  The ``parents_of`` sets
+    that the navigator builds on ``t`` serve every view, and are dropped
+    before the store grows, so they add nothing to its peak and the base
+    document keeps none of them.
+    """
+    roots = {}
+    for name, v in views:
+        if v is EMPTY or not v.is_tree():
+            answers = eval_tree_pattern(v, t)
+        elif t.labels[t.root] != v.label(v.root):
+            answers = set()
+        else:
+            answers = _Navigation(t, v, (t.root,)).run()
+        roots[name] = tuple(sorted(answers))
+    t._parents = {}
+    for rs in roots.values():
+        for a in rs:
+            _store_subtree(store, t, a)
+    return {name: ViewDocument(name, store, rs) for name, rs in roots.items()}
+
+
 def materialize_view(
     v: Pattern, name: str, t: XmlTree, store: Optional[XmlTree] = None
 ) -> ViewDocument:
     """The answers of ``v`` over ``t``, their subtrees added to ``store``
-    (a new one by default)."""
-    store = XmlTree() if store is None else store
-    roots = tuple(sorted(eval_tree_pattern(v, t)))
-    for a in roots:
-        _store_subtree(store, t, a)
-    return ViewDocument(name, store, roots)
+    (a new one by default); see ``_fill``."""
+    return _fill([(name, v)], t, XmlTree() if store is None else store)[name]
 
 
 def materialize_all(views: ViewSet, t: XmlTree) -> dict[str, ViewDocument]:
-    """Every view's answers, all held in one fragment store."""
-    store = XmlTree()
-    return {name: materialize_view(v, name, t, store) for name, v in views.items()}
+    """Every view's answers, all held in one fragment store; see ``_fill``."""
+    return _fill(views.items(), t, XmlTree())
 
 
 ORIGID_LABEL = "__origid"
@@ -447,7 +488,8 @@ def eval_plan(plan: Expr, docs: dict[str, ViewDocument]) -> set[int]:
     the nodes that pass each step, then down from those that are start
     nodes.  Predicates are decided on sets too, a ``/`` one with nothing
     below it against ``XmlTree.parents_of`` its label (a set per label, at
-    most one id per store node, held until the store changes).
+    most one id per store node, held until the store changes).  A ``/``
+    step reads the smaller side (``XmlTree.child_step``).
     """
     return _compile(plan, docs).run()
 
@@ -509,9 +551,9 @@ class _Navigation:
         self.base = None if self.roots is not None else start
         self.mb = main_branch(p)
         self.axes = [p.axis(a, b) for a, b in zip(self.mb, self.mb[1:])]
-        self.labels = {n: p.label(n) for n in p.nodes}
-        self.tests = {n: p.test(n) for n in p.nodes}
-        self.preds = {n: [(b, k, p.label(b)) for b, k in p.pred_edges(n)] for n in p.nodes}
+        self.labels = {n: nd.label for n, nd in p.nodes.items()}
+        self.tests = {n: nd.test for n, nd in p.nodes.items()}
+        self.preds = {n: [(b, k, self.labels[b]) for b, k in p.pred_edges(n)] for n in p.nodes}
         # pattern nodes whose store nodes need no test beyond the label
         self.plain = {n for n in p.nodes if not self.preds[n] and self.tests[n] is None}
         self.cost = len(self.roots) if self.base is None else self.base.cost
@@ -545,11 +587,8 @@ class _Navigation:
                 else:
                     spans = ((x, t.span(x, label)) for x in alive)
                     frame[0] = {x for x, (_, lo, hi) in spans if lo < hi}
-            elif k == CHILD:
-                sub = [c for x in alive for c in t.children[x] if t.labels[c] == label]
-                stack.append([self._tested(b, sub), iter(self.preds[b]), k])
             else:
-                sub = [y for x in t.outermost(alive) for y in t.below(x, label)]
+                sub = t.child_step(alive, label) if k == CHILD else t.desc_step(alive, label)
                 stack.append([self._tested(b, sub), iter(self.preds[b]), k])
 
     def run(self) -> set[int]:
@@ -559,10 +598,7 @@ class _Navigation:
         for i, pn in enumerate(mb):
             if i:
                 label = self.labels[pn]
-                if self.axes[i - 1] == CHILD:
-                    xs = [c for x in xs for c in t.children[x] if t.labels[c] == label]
-                else:
-                    xs = [y for x in t.outermost(xs) for y in t.below(x, label)]
+                xs = t.child_step(xs, label) if self.axes[i - 1] == CHILD else t.desc_step(xs, label)
             if pn not in self.plain:
                 xs = self.keep(pn, xs)
         return set(xs)

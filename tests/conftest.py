@@ -623,6 +623,60 @@ def brute_eval(p: Pattern, t) -> set[int]:
     return {e[p.out] for e in brute_embeddings(p, t)}
 
 
+def materialize_all_by_embedding(views: ViewSet, t) -> dict:
+    """The view cache filled as the direct evaluator sees it: each view's
+    answers by ``eval_tree_pattern`` (``_embed`` for tree views), and one
+    store built from its definition.  The store holds every node inside
+    some answer's subtree, with the base document's label, text and
+    children; a node's parent is its base parent when that is held too."""
+    from xpviews import eval_tree_pattern
+    from xpviews.documents import ViewDocument, XmlTree
+
+    store = XmlTree()
+    roots = {name: tuple(sorted(eval_tree_pattern(v, t))) for name, v in views.items()}
+    stack = [a for rs in roots.values() for a in rs]
+    held = set()
+    while stack:
+        x = stack.pop()
+        if x not in held:
+            held.add(x)
+            stack.extend(t.children[x])
+    for x in held:
+        store.labels[x] = t.labels[x]
+        store.texts[x] = t.texts[x]
+        store.children[x] = list(t.children[x])
+        store.parent[x] = t.parent[x] if t.parent[x] in held else None
+    return {name: ViewDocument(name, store, rs) for name, rs in roots.items()}
+
+
+def selective_workload():
+    """Criterion 7's selective case: a document whose query labels come with
+    plenty of non-matching noise, so direct evaluation pays for the whole
+    label class; the query, two views, and the query's plan over them."""
+    from xpviews import EFFICIENT, rewrite_detailed
+    from xpviews.documents import XmlTree
+
+    t_xml = XmlTree()
+    root = t_xml.add_node("L", None)
+    for blk in range(400):
+        sec = t_xml.add_node("sec", root)
+        if blk % 100 == 0:
+            t_xml.add_node("mark", sec)
+        for i in range(40):
+            fig = t_xml.add_node("fig", sec)
+            t_xml.add_node("leaf", fig)
+    q = tree_from_text('doc("L")//sec[mark]//fig')
+    views = ViewSet.from_texts(
+        {
+            "vsec": 'doc("L")//sec[mark]',
+            "vfig": 'doc("L")//sec[mark]//fig',
+        }
+    )
+    out = rewrite_detailed(q, views, EFFICIENT)
+    assert out.plan is not None
+    return t_xml, q, views, out.plan
+
+
 def two_branch_merges(p1: Pattern, p2: Pattern) -> set:
     """Canonical keys of all interleavings of dag(p1 & p2), enumerated by a
     direct shuffle-merge of the two main branches.

@@ -40,7 +40,6 @@ from xpviews import (
     union_free_oracle,
 )
 from xpviews.containment import CONTAINMENT, has_mapping
-from xpviews.documents import XmlTree
 from xpviews.pattern import canon_key, lossless_prefixes, to_text
 from xpviews.rewrite import _plan_expr
 from xpviews.syntax import parse
@@ -50,6 +49,7 @@ from conftest import (
     es_rewrite_instances,
     minimal_containment_draws,
     random_dag_corpus,
+    selective_workload,
     termination_sweep,
     two_branch_merges,
     view_pairs,
@@ -329,7 +329,7 @@ def test_criterion_7_scaling_shape():
         # fragment stores, each store counted once, plus every view's answer
         # ids) is >= 4x smaller than the document, and the rewritten plan
         # (including rewrite time) evaluates faster than the direct query
-        t, q, views, plan = _selective_workload()
+        t, q, views, plan = selective_workload()
         docs = materialize_all(views, t)
         stores = {id(vd.tree): vd.tree for vd in docs.values()}
         view_bytes = sum(s.size() for s in stores.values()) + sum(
@@ -350,30 +350,6 @@ def test_criterion_7_scaling_shape():
         plan_time = timed(lambda: eval_plan(plan.expr, docs))
         assert eval_plan(plan.expr, docs) == eval_tree_pattern(q, t)
         assert rewrite_time + plan_time < direct, (rewrite_time, plan_time, direct)
-
-
-def _selective_workload():
-    # one document, query labels shared with plenty of non-matching noise so
-    # direct evaluation pays for the whole label class
-    t_xml = XmlTree()
-    root = t_xml.add_node("L", None)
-    for blk in range(400):
-        sec = t_xml.add_node("sec", root)
-        if blk % 100 == 0:
-            t_xml.add_node("mark", sec)
-        for i in range(40):
-            fig = t_xml.add_node("fig", sec)
-            t_xml.add_node("leaf", fig)
-    q = tree_from_text('doc("L")//sec[mark]//fig')
-    views = ViewSet.from_texts(
-        {
-            "vsec": 'doc("L")//sec[mark]',
-            "vfig": 'doc("L")//sec[mark]//fig',
-        }
-    )
-    out = rewrite_detailed(q, views, EFFICIENT)
-    assert out.plan is not None
-    return t_xml, q, views, out.plan
 
 
 # -- 8: minimal containment --------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from xpviews import (
     EFFICIENT,
     EMPTY,
+    GenConfig,
     TreeGenConfig,
     ViewSet,
     dag_from_expr,
@@ -13,6 +14,7 @@ from xpviews import (
     eval_plan,
     eval_tree_pattern,
     generate_tree,
+    generate_workload,
     materialize_all,
     materialize_view,
     parse_xml,
@@ -22,7 +24,7 @@ from xpviews import (
     unfold_expr,
 )
 from xpviews.documents import UnsupportedXml, _compile, _embed, _steps_pattern
-from xpviews.pattern import main_branch
+from xpviews.pattern import PNode, main_branch
 from xpviews.syntax import CHILD, DESC, Compensated, Intersect, Path, Pred, Step, parse, print_expr
 
 from conftest import (
@@ -30,8 +32,10 @@ from conftest import (
     canonical_model,
     canonical_model_with_output,
     graft_models,
+    materialize_all_by_embedding,
     random_dag_corpus,
     random_tree_pattern,
+    selective_workload,
 )
 
 V10 = {
@@ -127,11 +131,11 @@ def test_materialize_copies_subtrees(lib_tree):
     for orig in vd.answer_roots:
         assert lib_tree.labels[orig] == "section"
         # the whole subtree is held under its original ids
-        assert sorted(store.subtree_nodes(orig)) == sorted(lib_tree.subtree_nodes(orig))
-        for n in store.subtree_nodes(orig):
+        assert sorted([orig] + store.descendants(orig)) == sorted([orig] + lib_tree.descendants(orig))
+        for n in [orig] + store.descendants(orig):
             assert (store.labels[n], store.texts[n]) == (lib_tree.labels[n], lib_tree.texts[n])
     # and nothing else
-    assert store.size() == sum(len(lib_tree.subtree_nodes(a)) for a in vd.answer_roots)
+    assert store.size() == sum(1 + len(lib_tree.descendants(a)) for a in vd.answer_roots)
 
 
 def test_nested_answers_are_held_once():
@@ -453,6 +457,109 @@ def test_text_predicate_existential_semantics():
     p = tree_from_text('doc("L")/a[b="x"]')
     hits = eval_tree_pattern(p, t)
     assert len(hits) == 1
+
+
+# ---------------------------------------------------------------------------
+# the cache fill against direct evaluation
+
+
+def _same_fill(docs, want):
+    assert {n: vd.answer_roots for n, vd in docs.items()} == {n: vd.answer_roots for n, vd in want.items()}
+    (store,) = {id(vd.tree): vd.tree for vd in docs.values()}.values()
+    ref = next(iter(want.values())).tree
+    for attr in ("labels", "texts", "children", "parent"):
+        assert getattr(store, attr) == getattr(ref, attr), attr
+
+
+def _with_leaf_tests(rng, p):
+    """``p`` with a random text test on some of its predicate leaves."""
+    mb = set(main_branch(p))
+    for n in list(p.nodes):
+        if n not in mb and not p.out_edges(n) and rng.random() < 0.5:
+            p.nodes[n] = PNode(p.label(n), rng.choice(("x", "y")))
+    p._dirty()
+    return p
+
+
+@pytest.mark.parametrize("category", ["es", "slashslash", "full"])
+def test_fill_matches_embedding_on_workloads(category):
+    for seed in range(1, 11):
+        t, _, views = generate_workload(GenConfig(seed=seed, category=category))
+        _same_fill(materialize_all(views, t), materialize_all_by_embedding(views, t))
+        assert t._parents == {}  # the fill keeps no parents_of sets on the base
+
+
+def test_fill_matches_embedding_on_the_selective_workload():
+    t, _, views, _ = selective_workload()
+    _same_fill(materialize_all(views, t), materialize_all_by_embedding(views, t))
+
+
+def test_materialize_view_matches_embedding_on_random_views():
+    # text tests on predicate leaves, // predicates and repeated labels
+    rng = random.Random(26)
+    checked = answered = 0
+    for doc_seed in range(15):
+        t = generate_tree(TreeGenConfig(depth=5, fanout=3, labels=("a", "b", "c"), seed=doc_seed))
+        views = {}
+        for i in range(100):
+            v = random_tree_pattern(rng, mb_len=rng.randint(1, 4), pred_prob=0.6, dd_prob=0.5)
+            views[f"v{i}"] = _with_leaf_tests(rng, v)
+        for name, v in views.items():
+            want = materialize_all_by_embedding(ViewSet({name: v}), t)
+            _same_fill({name: materialize_view(v, name, t)}, want)
+            checked += 1
+            answered += bool(want[name].answer_roots)
+        _same_fill(materialize_all(ViewSet(views), t), materialize_all_by_embedding(ViewSet(views), t))
+    assert checked == 1500 and 300 < answered < 1400
+
+
+def test_fill_of_empty_mismatched_and_dag_views(lib_tree):
+    views = ViewSet.from_texts(V10)
+    dag = unfold_expr(parse('doc("v1")/v1 & doc("v2")/v2'), views)
+    assert not dag.is_tree()
+    # predicates on the root have no text form
+    rooted = tree_from_text('doc("L")//section[theorem]')
+    for label, axis in (("lib", CHILD), ("image", DESC)):
+        rooted.add_edge(rooted.root, rooted.add_node(label), axis)
+    cases = {
+        "empty": EMPTY,
+        "dag": dag,
+        "other_root": tree_from_text('doc("M")/lib//section'),
+        "rooted": rooted,
+    }
+    docs = {n: materialize_view(v, n, lib_tree) for n, v in cases.items()}
+    assert docs["empty"].answer_roots == docs["other_root"].answer_roots == ()
+    assert docs["empty"].tree.size() == docs["other_root"].tree.size() == 0
+    assert len(docs["dag"].answer_roots) == 1 and len(docs["rooted"].answer_roots) == 2
+    _same_fill(materialize_all(cases, lib_tree), materialize_all_by_embedding(cases, lib_tree))
+
+
+def test_fill_of_a_deep_chain_is_linear():
+    # A 2*10^4-deep chain of <a> over a <c> leaf: views with // steps, /
+    # steps and both kinds of predicates, each filled in linear time.
+    import time
+
+    from xpviews.documents import XmlTree
+
+    t = XmlTree()
+    chain = [t.add_node("L", None)]
+    for _ in range(20_000):
+        chain.append(t.add_node("a", chain[-1]))
+    leaf = t.add_node("c", chain[-1])
+    want = {
+        'doc("L")//a//a': set(chain[2:]),
+        'doc("L")/a/a//a[c]': {chain[-1]},
+        'doc("L")//a[a/a]': set(chain[1:-2]),
+        'doc("L")//a[.//c]/a': set(chain[2:]),
+        'doc("L")//a[.//a/c]': set(chain[1:-1]),
+        'doc("L")/a//c': {leaf},
+    }
+    for text, answers in want.items():
+        start = time.perf_counter()
+        vd = materialize_view(tree_from_text(text), "v", t)
+        assert time.perf_counter() - start < 2.0, text
+        assert set(vd.answer_roots) == answers, text
+        assert vd.tree.size() == 1 + len(t.descendants(min(answers)))
 
 
 # ---------------------------------------------------------------------------
