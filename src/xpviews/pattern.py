@@ -357,15 +357,17 @@ def tree_from_text(text: str) -> Pattern:
 
 
 class ViewSet:
-    """Named view definitions (absolute XP patterns over the base document)."""
+    """Named view definitions (absolute XP patterns over the base document).
+
+    The rewriter keeps two derived structures here, each built on its first
+    use: the extended skeletons of the definitions, which ``define`` drops,
+    and the trie of their main-branch signatures (``rewrite._SignatureTrie``),
+    to which ``define`` adds the one new view."""
 
     def __init__(self, defs: Optional[dict[str, Pattern]] = None):
         self.defs: dict[str, Pattern] = {}
-        # the extended skeletons and the main-branch signatures of the
-        # definitions, built on demand by the rewriter and dropped by the
-        # next define
         self._skeletons: Optional[ViewSet] = None
-        self._signatures: Optional[list] = None
+        self._trie = None
         if defs:
             for name, pat in defs.items():
                 self.define(name, pat)
@@ -380,7 +382,8 @@ class ViewSet:
         pattern.validate()
         self.defs[name] = pattern
         self._skeletons = None
-        self._signatures = None
+        if self._trie is not None:
+            self._trie.add(name, pattern)
 
     def __contains__(self, name: str) -> bool:
         return name in self.defs

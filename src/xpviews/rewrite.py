@@ -5,7 +5,9 @@ A plan intersects compensated view heads; its unfolding must be
 equivalent to the query.  Only a linear number of candidates (one per
 main-branch prefix) needs to be inspected for the single-level language,
 and each is decided on its least (view, image) pairs; only views whose
-main branch embeds in the query's are root-mapped.  Nested plans go
+main branch embeds in the query's are root-mapped, found through a trie of
+their signatures, and each only once the search reaches a prefix it can
+map into.  Nested plans go
 through a single minimally-containing candidate graph, decided on its
 least attachments.
 """
@@ -16,7 +18,7 @@ import logging
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Collection, Iterator, Optional
 
 from .syntax import CHILD, Compensated, Expr, Intersect, Path, Step, print_expr
 from .pattern import (
@@ -76,6 +78,7 @@ class RewriteOutcome:
     timings: dict = field(default_factory=dict)
     interleaving_fallbacks: int = 0  # prefixes whose fixpoint stayed a DAG
     views_mapped: int = 0  # views that passed the main-branch screen
+    views_root_mapped: int = 0  # of those, the views root-mapped before the search ended
     pairs_seen: int = 0  # (view, image) pairs over the examined prefixes
     pairs_kept: int = 0  # of those, the least pairs, which the rules read first
     least_pair_retries: int = 0  # prefixes whose rules reran on every pair
@@ -90,6 +93,7 @@ class RewriteOutcome:
 COUNTERS = {
     "candidates_examined": "candidatesExamined",
     "views_mapped": "viewsMapped",
+    "views_root_mapped": "viewsRootMapped",
     "pairs_seen": "pairsSeen",
     "pairs_kept": "pairsKept",
     "least_pair_retries": "leastPairRetries",
@@ -105,58 +109,92 @@ def _signature(p: Pattern) -> tuple:
     return (p.label(mb[0]),) + tuple((p.label(b), p.axis(a, b)) for a, b in zip(mb, mb[1:]))
 
 
-def _signatures(views: ViewSet) -> list[tuple[str, Pattern, tuple]]:
-    """Each view with its signature, built on the first rewrite and kept
-    until the next ``define``."""
-    if views._signatures is None:
-        views._signatures = [(name, v, _signature(v)) for name, v in views.items()]
-    return views._signatures
+class _TrieNode:
+    __slots__ = ("child", "desc", "views")
+
+    def __init__(self):
+        self.child: dict[str, _TrieNode] = {}  # / edges by label
+        self.desc: dict[str, _TrieNode] = {}  # // edges by label
+        self.views: list[tuple[str, Pattern]] = []  # signatures that end here
 
 
-def _embeds(sig: tuple, target: tuple) -> bool:
-    """Whether a main-branch signature embeds in order into the ``target``
-    one: same root label, a / step onto the next step of the same label
-    and axis, a // step onto any later step of the same label.  Text tests
-    are not part of a signature."""
-    if sig[0] != target[0]:
-        return False
-    at = [0]  # the positions the steps so far can end on, ascending
-    for step in sig[1:]:
-        if step[1] == CHILD:
-            at = [j + 1 for j in at if j + 1 < len(target) and target[j + 1] == step]
-        else:
-            at = [j for j in range(at[0] + 1, len(target)) if target[j][0] == step[0]]
-        if not at:
-            return False
-    return True
+class _SignatureTrie:
+    """The main-branch signatures of a view set's tree views, as a trie: one
+    root per root label, and one edge per ``(label, axis)`` step.  Views that
+    are not trees have no root-mapping and are left out.  Built by the first
+    screen of a view set; ``ViewSet.define`` then adds each new view."""
+
+    def __init__(self, views: ViewSet):
+        self.roots: dict[str, _TrieNode] = {}
+        for name, v in views.items():
+            self.add(name, v)
+
+    def add(self, name: str, v: Pattern) -> None:
+        if not v.is_tree():
+            return
+        sig = _signature(v)
+        node = self.roots.setdefault(sig[0], _TrieNode())
+        for label, axis in sig[1:]:
+            edges = node.child if axis == CHILD else node.desc
+            node = edges.setdefault(label, _TrieNode())
+        node.views.append((name, v))
+
+    def screen(self, target: tuple) -> list[tuple[str, Pattern, int]]:
+        """The views whose signature embeds in order into the ``target``
+        one, in name order, each with its earliest end: the least target
+        position its last step can map to.  A / edge moves to the next
+        position when the step there has the same label and axis /, a //
+        edge to every later position of the same label.  Text tests are not
+        part of a signature.
+
+        Positions are taken in ascending order and each (trie node,
+        position) once, so the first position a node is reached at is the
+        earliest end of its views.  A node's // edges are followed from
+        that position only: from a later one they reach a subset."""
+        node = self.roots.get(target[0])
+        if node is None:
+            return []
+        at: dict[str, list[int]] = {}  # label -> its positions in target
+        for j in range(1, len(target)):
+            at.setdefault(target[j][0], []).append(j)
+        reached: list[set[_TrieNode]] = [{node}] + [set() for _ in target[1:]]
+        first: dict[_TrieNode, int] = {}
+        for j, nodes in enumerate(reached):
+            nxt = target[j + 1] if j + 1 < len(target) else None
+            for node in nodes:
+                if nxt is not None and nxt[1] == CHILD and nxt[0] in node.child:
+                    reached[j + 1].add(node.child[nxt[0]])
+                if node in first:
+                    continue
+                first[node] = j
+                for label, below in node.desc.items():
+                    for k in at.get(label, ()):
+                        if k > j:
+                            reached[k].add(below)
+        return sorted((name, v, j) for node, j in first.items() for name, v in node.views)
+
+
+def _screen(views: ViewSet, q: Pattern) -> list[tuple[str, Pattern, int]]:
+    """The views that may root-map into ``q``, by ``_SignatureTrie.screen``:
+    a root-mapping sends a view's main branch in order onto the main branch
+    of ``q``, so a view whose signature does not embed in ``q``'s has no
+    image, and no output image lies before the earliest end."""
+    if views._trie is None:
+        views._trie = _SignatureTrie(views)
+    return views._trie.screen(_signature(q))
 
 
 def _view_images(views: ViewSet, q: Pattern) -> list[tuple[str, list[int]]]:
-    """The views that may root-map into ``q``, in name order, each with the
-    images of its output under root-mappings into ``q``.
-
-    A root-mapping sends a view's main branch in order onto the main branch
-    of ``q``, so a view whose signature does not embed in ``q``'s has no
-    image and is left out; the others are mapped.  Views share signatures,
-    so each distinct one is tested once per call."""
-    target = _signature(q)
-    passed: dict[tuple, bool] = {}
-    images = []
-    for name, v, sig in _signatures(views):
-        ok = passed.get(sig)
-        if ok is None:
-            ok = passed[sig] = _embeds(sig, target)
-        if ok:
-            images.append((name, root_mapping_out_images(v, q)))
-    return images
+    """The views that pass ``_screen`` into ``q``, in name order, each with
+    the images of its output under root-mappings into ``q``."""
+    return [(name, root_mapping_out_images(v, q)) for name, v, _ in _screen(views, q)]
 
 
-def _pairs_on(images: list[tuple[str, list[int]]], p: Pattern) -> list[tuple[str, int]]:
-    """(view, image) pairs of ``p`` out of the images into a pattern that
-    ``p`` is a lossless prefix of.  The prefix only raises the output, so
-    its root-mappings are those whose output image lies on its main
-    branch."""
-    mbn = p.mb_nodes()
+def _pairs_on(images: list[tuple[str, list[int]]], mbn: Collection[int]) -> list[tuple[str, int]]:
+    """(view, image) pairs of a prefix out of the images into a pattern that
+    it is a lossless prefix of; ``mbn`` holds the prefix's main-branch
+    nodes.  The prefix only raises the output, so its root-mappings are
+    those whose output image lies on its main branch."""
     return [(name, b) for name, bs in images for b in bs if b in mbn]
 
 
@@ -313,8 +351,12 @@ def rewrite_detailed(
     the rule engine and tests containment in the prefix.  In efficient
     mode the containment test runs only when the rules produced a tree.
 
-    Only views that pass ``_view_images``' main-branch screen are mapped
-    (``views_mapped``).  The decision reads only the least pairs of each
+    Only views that pass the main-branch screen (``_screen``,
+    ``views_mapped``) are root-mapped, and each only once the search reaches
+    a prefix whose output lies at or below its earliest end: no image lies
+    above it, so a view not mapped yet has no pair on the prefix.  A hit
+    stops at its prefix, so it maps fewer views (``views_root_mapped``)
+    than pass the screen.  The decision reads only the least pairs of each
     prefix (``_least_pairs``), whose heads intersect to the same nodes as
     those of all pairs, and turns to every pair as ``_decide`` says; the
     plan still lists every pair.  ``trace`` is that of the fixpoint decided
@@ -334,14 +376,17 @@ def rewrite_detailed(
     if classify(q) is FragmentClass.EXTENDED_SKELETON:
         dag_views = _skeleton_views(views)
     t = time.perf_counter()
-    images = _view_images(views, q)
+    screened = _screen(views, q)
     spent = {"mappingMs": time.perf_counter() - t, "rulesMs": 0.0, "containmentMs": 0.0}
     counts = dict.fromkeys(COUNTERS, 0)
-    counts["views_mapped"] = len(images)
+    counts["views_mapped"] = len(screened)
+    unmapped = sorted(screened, key=lambda e: -e[2])  # the earliest end last
+    mapped: dict[str, list[int]] = {}  # name -> images, for the views mapped so far
 
     def outcome(*args, **kw) -> RewriteOutcome:
         timings = {"rewriteMs": (time.perf_counter() - t0) * 1e3}
         timings.update((k, v * 1e3) for k, v in spent.items())
+        counts["views_root_mapped"] = len(mapped)
         return RewriteOutcome(*args, timings=timings, **counts, **kw)
 
     def intersect(units: list[Pattern]):
@@ -349,7 +394,14 @@ def rewrite_detailed(
         return units[0] if len(units) == 1 else dag_intersect(units)
 
     for p in prefixes:
-        pairs = _pairs_on(images, p)
+        at = mb.index(p.out)
+        t = time.perf_counter()
+        while unmapped and unmapped[-1][2] <= at:
+            name, v, _ = unmapped.pop()
+            mapped[name] = root_mapping_out_images(v, q)
+        spent["mappingMs"] += time.perf_counter() - t
+        images = [(name, mapped[name]) for name, _, _ in screened if name in mapped]
+        pairs = _pairs_on(images, set(mb[: at + 1]))
         if not pairs:
             continue
         heads = _compensated_heads(pairs, p)
@@ -367,7 +419,7 @@ def rewrite_detailed(
             return outcome(
                 RewritePlan(plan_expr, views),
                 "rewritten",
-                prefix_index=mb.index(p.out),
+                prefix_index=at,
                 trace=trace,
             )
     return outcome(None, "noRewriting")
@@ -395,7 +447,7 @@ def all_rewrites(
         q = m
     images = _view_images(views, q)
     for p in lossless_prefixes(q):
-        pairs = _pairs_on(images, p)
+        pairs = _pairs_on(images, p.mb_nodes())
         for size in range(1, min(len(pairs), max_views) + 1):
             for subset in combinations(pairs, size):
                 expr = _plan_expr(list(subset), p)

@@ -567,6 +567,40 @@ def view_pairs(views: ViewSet, p: Pattern) -> list[tuple[str, int]]:
     return [(name, b) for name, v in views.items() for b in root_mapping_out_images(v, p)]
 
 
+def _embeds(sig: tuple, target: tuple) -> bool:
+    """Whether a main-branch signature embeds in order into the ``target``
+    one: same root label, a / step onto the next step of the same label
+    and axis, a // step onto any later step of the same label.  The screen
+    the rewriter ran over every view before its signature trie."""
+    if sig[0] != target[0]:
+        return False
+    at = [0]  # the positions the steps so far can end on, ascending
+    for step in sig[1:]:
+        if step[1] == CHILD:
+            at = [j + 1 for j in at if j + 1 < len(target) and target[j + 1] == step]
+        else:
+            at = [j for j in range(at[0] + 1, len(target)) if target[j][0] == step[0]]
+        if not at:
+            return False
+    return True
+
+
+def embedding_ends(sig: tuple, target: tuple) -> set[int]:
+    """The target positions a signature's last step ends on, over every
+    embedding, by enumerating the increasing position tuples."""
+    if sig[0] != target[0]:
+        return set()
+    ends = set()
+    for pos in itertools.combinations(range(1, len(target)), len(sig) - 1):
+        path = (0,) + pos
+        if all(
+            (j == i + 1 and target[j] == step) if step[1] == CHILD else target[j][0] == step[0]
+            for i, j, step in zip(path, path[1:], sig[1:])
+        ):
+            ends.add(path[-1])
+    return ends
+
+
 def best_comp(v: Pattern, p: Pattern) -> Pattern:
     """The view compensated at its highest mapping image in ``p``; it is
     contained in every other compensated version."""

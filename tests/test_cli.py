@@ -95,6 +95,7 @@ def test_rewrite_eval_generate_roundtrip(tmp_path, capsys):
     assert doc["interleavingFallbacks"] == 0
     # v1's head is contained in v2's at the section prefix
     assert (doc["viewsMapped"], doc["pairsSeen"], doc["pairsKept"], doc["leastPairRetries"]) == (2, 2, 1, 0)
+    assert doc["viewsRootMapped"] == 2
     assert (doc["candidatesExamined"], doc["witnessRefutations"]) == (1, 0)
 
     # negative decision exits 1
@@ -182,7 +183,8 @@ def test_bench_seed_env_and_config(tmp_path, capsys, monkeypatch):
     assert code == 0
     header, row = out.strip().splitlines()[:2]
     assert "seed" in header
-    assert {"pairsSeen", "pairsKept", "leastPairRetries", "witnessRefutations", "interleavingFallbacks"} <= set(header.split(","))
+    assert {"viewsMapped", "viewsRootMapped", "pairsSeen", "pairsKept", "leastPairRetries", "witnessRefutations",
+            "interleavingFallbacks"} <= set(header.split(","))
     assert row.startswith("9,")
 
 

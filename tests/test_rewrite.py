@@ -4,6 +4,7 @@ import random
 import time
 from itertools import chain, islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -45,14 +46,16 @@ from xpviews.pattern import (
     pattern_to_json,
     to_text,
 )
-from xpviews.rewrite import _pairs_on, _plan_expr, _skeleton_views, _view_images
+from xpviews.rewrite import _pairs_on, _plan_expr, _screen, _signature, _skeleton_views, _view_images
 from xpviews.syntax import CHILD, DESC, parse, print_expr
 from xpviews.workload import CATEGORIES
 
 from conftest import (
+    _embeds,
     all_pairs_rewrite,
     best_comp,
     dag_contained_in_dag,
+    embedding_ends,
     equivalent_by_minimization,
     es_rewrite_instances,
     minimal_containment_draws,
@@ -292,7 +295,7 @@ def test_one_pass_images_match_pinned_search():
                 assert got == pinned_out_images(v, p), (to_text(q), name, to_text(p))
                 sizes[min(len(got), 2)] += 1
             # images into the query, kept where they lie on the prefix
-            assert _pairs_on(images, p) == view_pairs(views, p)
+            assert _pairs_on(images, p.mb_nodes()) == view_pairs(views, p)
     assert sizes[1] >= 400 and sizes[2] >= 100
 
 
@@ -322,29 +325,88 @@ def _screen_cases():
 
 
 def test_screen_keeps_every_view_with_an_image():
-    screened = mapped = 0
+    # The trie screen passes exactly the views whose signature embeds by the
+    # old per-view screen, in name order, and gives each the least end over
+    # its embeddings, at or above every output image.
+    screened = mapped = later = 0
     for views, q in _screen_cases():
         for p in [q] + lossless_prefixes(q):
             images = _view_images(views, p)
             every = [(name, root_mapping_out_images(v, p)) for name, v in views.items()]
             assert [e for e in images if e[1]] == [e for e in every if e[1]], to_text(p)
-            assert [name for name, _ in images] == sorted(name for name, _ in images)
+            target = _signature(p)
+            ends = {name: embedding_ends(_signature(v), target) for name, v in views.items()}
+            assert all(_embeds(_signature(v), target) == bool(ends[name]) for name, v in views.items())
+            got = [(name, end) for name, _, end in _screen(views, p)]
+            assert got == [(name, min(e)) for name, e in ends.items() if e], to_text(p)
+            depth = {n: i for i, n in enumerate(main_branch(p))}
+            assert all(depth[b] >= end for (_, bs), (_, end) in zip(images, got) for b in bs)
             screened += len(views) - len(images)
             mapped += sum(bool(bs) for _, bs in every)
-    assert screened >= 10000 and mapped >= 1000
+            later += sum(end > 1 for _, end in got)
+    assert screened >= 10000 and mapped >= 1000 and later >= 1000
 
 
-def test_signatures_are_built_on_first_rewrite_and_dropped_by_define():
+def test_screen_is_polynomial_in_the_query_length():
+    # Over two labels, a 60-step query gives a repeated-label // signature
+    # exponentially many embeddings; the walk visits each (trie node,
+    # position) once.
+    rng = random.Random(60)
+    q = tree_from_text('doc("L")' + "".join(rng.choice(("/a", "//a", "/b", "//b")) for _ in range(60)))
+    texts = {}
+    for k in range(1, 31):
+        texts[f"a{k:02}"] = 'doc("L")' + "//a" * k
+        texts[f"b{k:02}"] = 'doc("L")' + "//a//b" * k
+        texts[f"c{k:02}"] = 'doc("L")' + "//b//a//a" * (k // 2 + 1) + "/b" * (k % 3)
+    views = ViewSet.from_texts(texts)
+    t = time.perf_counter()
+    got = _screen(views, q)
+    assert time.perf_counter() - t < 0.2
+    target = _signature(q)
+    passed = [name for name, v in views.items() if _embeds(_signature(v), target)]
+    assert [name for name, _, _ in got] == passed and 30 <= len(passed) < len(views)
+
+
+def test_define_after_a_rewrite_computes_one_signature():
+    # The trie is built by the first screen, not by define; a later define
+    # adds the one new view and re-derives no other view's signature.
+    rw = importlib.import_module("xpviews.rewrite")
     vs = ViewSet.from_texts({"v1": 'doc("L")//a/b', "v2": 'doc("L")/b'})
     q = tree_from_text('doc("L")/a/b/c')
-    assert vs._signatures is None
+    assert vs._trie is None
     assert _view_images(vs, q) == [("v1", [q.out - 1])]
-    first = vs._signatures
-    _view_images(vs, q)
-    assert vs._signatures is first
-    vs.define("v3", tree_from_text('doc("L")//b/c'))
-    assert vs._signatures is None
-    assert [name for name, _ in _view_images(vs, q)] == ["v1", "v3"]
+    trie = vs._trie
+    v3 = tree_from_text('doc("L")//b/c')
+    with mock.patch.object(rw, "_signature", wraps=rw._signature) as sig:
+        vs.define("v3", v3)
+        assert sig.call_count == 1 and sig.call_args.args[0] is v3
+        assert [name for name, _ in _view_images(vs, q)] == ["v1", "v3"]
+        assert sig.call_count == 2 and sig.call_args.args[0] is q
+    assert vs._trie is trie
+
+
+def test_a_dag_view_is_left_out_of_rewriting():
+    # A DAG view has no root-mapping, so every rewrite answers as if it were
+    # absent, whether it was defined before or after the first screen.
+    trees = {"v1": 'doc("L")/b//a', "v2": 'doc("L")/b'}
+    dag = dag_from_expr(parse('doc("L")//a & doc("L")/b//a'))
+    for text in ('doc("L")/b/a', 'doc("L")/b//a[c]', 'doc("L")//a'):
+        q = tree_from_text(text)
+        without = ViewSet.from_texts(trees)
+        early = ViewSet.from_texts(trees)
+        early.define("d", dag)
+        late = ViewSet.from_texts(trees)
+        _view_images(late, q)
+        late.define("d", dag)
+        for vs in (early, late):
+            for mode in (FULL, EFFICIENT):
+                got, want = rewrite_detailed(q, vs, mode), rewrite_detailed(q, without, mode)
+                assert (got.status, got.prefix_index, got.counters()) == (
+                    want.status, want.prefix_index, want.counters())
+                assert (got.plan and got.plan.text) == (want.plan and want.plan.text)
+            got, want = nested_rewrite(q, vs), nested_rewrite(q, without)
+            assert (got and print_expr(got.to_expr())) == (want and print_expr(want.to_expr()))
+    assert rewrite_detailed(tree_from_text('doc("L")/b/a'), late, FULL).status == "rewritten"
 
 
 def test_images_need_a_tree_source():
@@ -373,13 +435,20 @@ def test_outcome_reports_phase_timings():
 def test_outcome_reports_screen_and_least_pairs():
     # w's main branch does not embed in the query's.  At the section prefix
     # the second head (v1's) is contained in the first (v0's) and replaces
-    # it, so the rules see v1 alone, while the plan keeps both.
+    # it, so the rules see v1 alone, while the plan keeps both.  x passes
+    # the screen, but its earliest end lies below the section prefix, where
+    # the search stops, so it is never root-mapped.
     views = ViewSet.from_texts(
-        {"v0": V10["v2"], "v1": V10["v1"], "w": 'doc("L")/zz//section'}
+        {"v0": V10["v2"], "v1": V10["v1"], "w": 'doc("L")/zz//section', "x": 'doc("L")//figure/image'}
     )
     out = rewrite_detailed(tree_from_text(QSUB), views, FULL)
     assert out.plan.text.count("doc(") == 2 and out.prefix_index == 2
-    assert (out.views_mapped, out.pairs_seen, out.pairs_kept, out.least_pair_retries) == (2, 2, 1, 0)
+    assert (out.views_mapped, out.pairs_seen, out.pairs_kept, out.least_pair_retries) == (3, 2, 1, 0)
+    assert out.views_root_mapped == 2
+    # a miss examines every prefix, so it maps every view that passes
+    miss = rewrite_detailed(tree_from_text(QSUB.replace("paper", "zz")), views, FULL)
+    assert miss.status == "noRewriting"
+    assert (miss.views_mapped, miss.views_root_mapped) == (2, 2)
 
 
 def test_least_pairs_rerun_the_rules_on_every_pair():

@@ -90,6 +90,7 @@ def test_bench_report_shape():
     assert d["rewriteTimeMs"] >= 0 and d["planEvalTimeMs"] >= 0
     assert d["directEvalTimeMs"] >= 0
     assert d["viewSetSize"] == 40
-    counters = ("candidatesExamined", "viewsMapped", "pairsSeen", "pairsKept", "leastPairRetries",
-                "witnessRefutations", "interleavingFallbacks")
+    counters = ("candidatesExamined", "viewsMapped", "viewsRootMapped", "pairsSeen", "pairsKept",
+                "leastPairRetries", "witnessRefutations", "interleavingFallbacks")
     assert all(d[k] >= 0 for k in counters) and d["candidatesExamined"] >= 1
+    assert d["viewsRootMapped"] <= d["viewsMapped"]
