@@ -11,6 +11,7 @@ import random
 from bisect import bisect_left, bisect_right
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Optional
 
 from .syntax import CHILD, Compensated, Expr, Intersect, Path, Pred, Step
@@ -34,10 +35,11 @@ class XmlTree:
         self.parent: dict[int, Optional[int]] = {}
         self.root: int = -1
         self._next = 0
-        self._rank: Optional[dict[int, int]] = None
-        self._end: dict[int, int] = {}
+        self._rank: Optional[list[int]] = None
+        self._end: list[int] = []
         self._ranked: dict[str, tuple[list[int], list[int]]] = {}
         self._parents: dict[str, set[int]] = {}
+        self._classes: dict[tuple[str, Optional[str]], frozenset[int]] = {}
 
     def add_node(self, label: str, parent: Optional[int], text: str = "") -> int:
         nid = self._next
@@ -62,24 +64,29 @@ class XmlTree:
     def _index(self) -> None:
         # Preorder ranks over every parentless node: the subtree of n is the
         # rank interval [rank[n], end[n]) (region encoding), and each label
-        # keeps its nodes, and their ranks, in preorder.
+        # keeps its nodes, and their ranks, in preorder.  Ranks and ends are
+        # lists indexed by node id: a store's ids are its base document's,
+        # so they never exceed the base document's size.
         order: list[int] = []
         stack = [n for n, p in self.parent.items() if p is None]
         while stack:
             n = stack.pop()
             order.append(n)
             stack.extend(reversed(self.children[n]))
-        rank = {n: i for i, n in enumerate(order)}
-        end: dict[int, int] = {}
+        rank = [0] * (max(self.parent, default=-1) + 1)
+        end = rank[:]
+        ranked: dict[str, tuple[list[int], list[int]]] = {}
+        labels = self.labels
+        for i, n in enumerate(order):
+            rank[n] = i
+            ranks, nodes = ranked.setdefault(labels[n], ([], []))
+            ranks.append(i)
+            nodes.append(n)
         for n in reversed(order):
             kids = self.children[n]
             end[n] = end[kids[-1]] if kids else rank[n] + 1
-        ranked: dict[str, tuple[list[int], list[int]]] = {}
-        for i, n in enumerate(order):
-            ranks, nodes = ranked.setdefault(self.labels[n], ([], []))
-            ranks.append(i)
-            nodes.append(n)
-        self._rank, self._end, self._ranked, self._parents = rank, end, ranked, {}
+        self._rank, self._end, self._ranked = rank, end, ranked
+        self._parents, self._classes = {}, {}
 
     def nodes_labelled(self, label: str) -> list[int]:
         """The nodes labelled ``label``, in preorder."""
@@ -98,6 +105,21 @@ class XmlTree:
             got = self._parents[label] = {self.parent[n] for n in self.nodes_labelled(label)} - {None}
         return got
 
+    def label_class(self, label: str, test: Optional[str] = None) -> frozenset[int]:
+        """The nodes labelled ``label`` whose text is ``test`` (any text
+        when None), built on first use and kept until the tree is indexed
+        again."""
+        if self._rank is None:
+            self._index()
+        got = self._classes.get((label, test))
+        if got is None:
+            nodes = self.nodes_labelled(label)
+            if test is not None:
+                texts = self.texts
+                nodes = [n for n in nodes if texts[n] == test]
+            got = self._classes[label, test] = frozenset(nodes)
+        return got
+
     def span(self, n: int, label: str) -> tuple[list[int], int, int]:
         """The preorder list of ``label``'s nodes, and the bounds of the
         slice of it that lies strictly below ``n``."""
@@ -107,26 +129,34 @@ class XmlTree:
         lo = bisect_right(ranks, self._rank[n])
         return nodes, lo, bisect_left(ranks, self._end[n], lo)
 
-    def outermost(self, nodes: Iterable[int]) -> list[int]:
+    def outermost(self, nodes: Collection[int]) -> list[int]:
         """The nodes of ``nodes`` without a strict ancestor among them, in
-        preorder."""
+        preorder.  Nodes that arrive in preorder, as ``desc_step`` gives
+        them, are not sorted again."""
         if self._rank is None:
             self._index()
         rank, end = self._rank, self._end
-        out: list[int] = []
-        reach = -1
-        for n in sorted(nodes, key=rank.__getitem__):
-            if rank[n] >= reach:
-                out.append(n)
-                reach = end[n]
-        return out
+        todo = nodes
+        while True:
+            out: list[int] = []
+            reach = last = -1
+            for n in todo:
+                r = rank[n]
+                if r >= reach:
+                    out.append(n)
+                    reach, last = end[n], r
+                elif r < last:  # before the last node kept, so not in preorder
+                    break
+            else:
+                return out
+            todo = sorted(nodes, key=rank.__getitem__)  # not in preorder: once more, sorted
 
     def up(self, ys: Iterable[int], axis: str) -> set[int]:
         """The parents of ``ys`` (axis /), or all their strict ancestors
         (axis //).  Each node is climbed from at most once."""
         parent = self.parent
         if axis == CHILD:
-            got = {parent[y] for y in ys}
+            got = set(map(parent.__getitem__, ys))
             got.discard(None)
             return got
         seen: set[int] = set()
@@ -256,13 +286,15 @@ def _escape(s: str) -> str:
 
 def _candidate_sets(p: Pattern, t: XmlTree, starts: Iterable[int]) -> Optional[dict[int, set[int]]]:
     """Bottom-up feasibility sets; exact for tree-shaped patterns.  The
-    root's pool is ``starts``, whatever their labels, and any other node's
-    is its label's nodes; both keep only the nodes that pass its text test."""
+    root's pool is a new set of ``starts``, whatever their labels, and any
+    other node's is ``XmlTree.label_class``, which is shared and frozen;
+    both keep only the nodes that pass its text test."""
 
-    def pool(pn: int) -> set[int]:
-        xs = starts if pn == p.root else t.nodes_labelled(p.label(pn))
+    def pool(pn: int) -> frozenset[int] | set[int]:
         req = p.test(pn)
-        return set(xs) if req is None else {x for x in xs if t.texts[x] == req}
+        if pn != p.root:
+            return t.label_class(p.label(pn), req)
+        return set(starts) if req is None else {x for x in starts if t.texts[x] == req}
 
     return _feasible(p, pool, t.up)
 
@@ -344,6 +376,11 @@ class ViewDocument:
     tree: XmlTree
     answer_roots: tuple[int, ...]
 
+    @cached_property
+    def root_set(self) -> frozenset[int]:
+        """``answer_roots`` as a set, built on first use."""
+        return frozenset(self.answer_roots)
+
 
 def _store_subtree(store: XmlTree, t: XmlTree, n: int) -> None:
     """Hold the subtree of ``n`` in ``store`` under its ids in ``t``.  A
@@ -381,7 +418,7 @@ def _fill(views: Iterable[tuple[str, Pattern]], t: XmlTree, store: XmlTree) -> d
         elif t.labels[t.root] != v.label(v.root):
             answers = set()
         else:
-            answers = _Navigation(t, v, (t.root,)).run()
+            answers = _Navigation(v, ViewDocument("", t, (t.root,))).run()
         roots[name] = tuple(sorted(answers))
     t._parents = {}
     for rs in roots.values():
@@ -502,12 +539,12 @@ def _compile(plan: Expr, docs: dict[str, ViewDocument]) -> _Meet | _Navigation:
         head = plan.steps[0]
         if head.label != vd.name:
             raise UnknownView(f"plan head {head.label!r} does not match view {vd.name!r}")
-        return _Navigation(vd.tree, _steps_pattern(head.preds, plan.steps[1:]), vd.answer_roots)
+        return _Navigation(_steps_pattern(head.preds, plan.steps[1:]), vd)
     if isinstance(plan, Intersect):
         return _Meet([_compile(b, docs) for b in plan.branches])
     if isinstance(plan, Compensated):
         base = _compile(plan.base, docs)
-        return _Navigation(base.store, _steps_pattern((), plan.steps), base)
+        return _Navigation(_steps_pattern((), plan.steps), base)
     raise TypeError(type(plan))
 
 
@@ -544,11 +581,12 @@ class _Navigation:
     unused.
     """
 
-    def __init__(self, store: XmlTree, p: Pattern, start: tuple[int, ...] | _Meet | _Navigation):
-        # ``start`` is a view's sorted answer-root ids, or the base plan
-        self.store = store
-        self.roots = start if isinstance(start, tuple) else None
-        self.base = None if self.roots is not None else start
+    def __init__(self, p: Pattern, start: ViewDocument | _Meet | _Navigation):
+        # ``start`` is the view whose answer roots are the start nodes, or
+        # the base plan
+        self.view = start if isinstance(start, ViewDocument) else None
+        self.base = None if self.view is not None else start
+        self.store = start.tree if self.view is not None else start.store
         self.mb = main_branch(p)
         self.axes = [p.axis(a, b) for a, b in zip(self.mb, self.mb[1:])]
         self.labels = {n: nd.label for n, nd in p.nodes.items()}
@@ -556,7 +594,7 @@ class _Navigation:
         self.preds = {n: [(b, k, self.labels[b]) for b, k in p.pred_edges(n)] for n in p.nodes}
         # pattern nodes whose store nodes need no test beyond the label
         self.plain = {n for n in p.nodes if not self.preds[n] and self.tests[n] is None}
-        self.cost = len(self.roots) if self.base is None else self.base.cost
+        self.cost = len(self.view.answer_roots) if self.base is None else self.base.cost
 
     def _tested(self, pn: int, xs: Iterable[int]) -> set[int]:
         test, texts = self.tests[pn], self.store.texts
@@ -594,7 +632,7 @@ class _Navigation:
     def run(self) -> set[int]:
         """Navigate forward from the start nodes."""
         t, mb = self.store, self.mb
-        xs = self.roots if self.base is None else self.base.run()
+        xs = self.view.answer_roots if self.base is None else self.base.run()
         for i, pn in enumerate(mb):
             if i:
                 label = self.labels[pn]
@@ -620,8 +658,7 @@ class _Navigation:
             cands.append(xs)
             xs = t.up(xs, self.axes[i - 1])
         if self.base is None:
-            roots = self.roots
-            xs = {x for x in xs if (j := bisect_left(roots, x)) < len(roots) and roots[j] == x}
+            xs = xs & self.view.root_set
         else:
             xs = self.base.filter(xs)
         xs = self.keep(mb[0], xs)

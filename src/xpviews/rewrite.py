@@ -113,9 +113,22 @@ class _TrieNode:
     __slots__ = ("child", "desc", "views")
 
     def __init__(self):
-        self.child: dict[str, _TrieNode] = {}  # / edges by label
-        self.desc: dict[str, _TrieNode] = {}  # // edges by label
-        self.views: list[tuple[str, Pattern]] = []  # signatures that end here
+        # Each is made on first use: most nodes have no // edges, and most
+        # have no view or no edge at all.
+        self.child: Optional[dict[str, _TrieNode]] = None  # / edges by label
+        self.desc: Optional[dict[str, _TrieNode]] = None  # // edges by label
+        self.views: Optional[list[tuple[str, Pattern]]] = None  # signatures that end here
+
+    def below(self, label: str, axis: str) -> _TrieNode:
+        """The end of this node's ``(label, axis)`` edge, added on first use."""
+        if axis == CHILD:
+            edges = self.child = self.child or {}
+        else:
+            edges = self.desc = self.desc or {}
+        got = edges.get(label)
+        if got is None:
+            got = edges[label] = _TrieNode()
+        return got
 
 
 class _SignatureTrie:
@@ -135,8 +148,8 @@ class _SignatureTrie:
         sig = _signature(v)
         node = self.roots.setdefault(sig[0], _TrieNode())
         for label, axis in sig[1:]:
-            edges = node.child if axis == CHILD else node.desc
-            node = edges.setdefault(label, _TrieNode())
+            node = node.below(label, axis)
+        node.views = node.views or []
         node.views.append((name, v))
 
     def screen(self, target: tuple) -> list[tuple[str, Pattern, int]]:
@@ -162,16 +175,16 @@ class _SignatureTrie:
         for j, nodes in enumerate(reached):
             nxt = target[j + 1] if j + 1 < len(target) else None
             for node in nodes:
-                if nxt is not None and nxt[1] == CHILD and nxt[0] in node.child:
+                if nxt is not None and nxt[1] == CHILD and node.child and nxt[0] in node.child:
                     reached[j + 1].add(node.child[nxt[0]])
                 if node in first:
                     continue
                 first[node] = j
-                for label, below in node.desc.items():
+                for label, below in (node.desc or {}).items():
                     for k in at.get(label, ()):
                         if k > j:
                             reached[k].add(below)
-        return sorted((name, v, j) for node, j in first.items() for name, v in node.views)
+        return sorted((name, v, j) for node, j in first.items() for name, v in node.views or ())
 
 
 def _screen(views: ViewSet, q: Pattern) -> list[tuple[str, Pattern, int]]:

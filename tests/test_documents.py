@@ -7,6 +7,7 @@ from xpviews import (
     EFFICIENT,
     EMPTY,
     GenConfig,
+    Pattern,
     TreeGenConfig,
     ViewSet,
     dag_from_expr,
@@ -23,8 +24,8 @@ from xpviews import (
     tree_from_text,
     unfold_expr,
 )
-from xpviews.documents import UnsupportedXml, _compile, _embed, _steps_pattern
-from xpviews.pattern import PNode, main_branch
+from xpviews.documents import UnsupportedXml, XmlTree, _compile, _embed, _steps_pattern
+from xpviews.pattern import PNode, dag_intersect, main_branch
 from xpviews.syntax import CHILD, DESC, Compensated, Intersect, Path, Pred, Step, parse, print_expr
 
 from conftest import (
@@ -107,6 +108,36 @@ def test_eval_dag_matches_brute_force_on_grafted_models(seed):
         assert eval_dag_pattern(d, t) == want
         answered += bool(want)
     assert answered >= 20
+
+
+def _with_tests(rng, p, prob=0.25):
+    """``p`` with a random text test on some of its nodes below the root,
+    the main branch and the output included."""
+    for n in list(p.nodes):
+        if n != p.root and rng.random() < prob:
+            p.nodes[n] = PNode(p.label(n), rng.choice(("x", "y")))
+    p._dirty()
+    return p
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_eval_with_text_tests_matches_brute_force_property(seed):
+    # Several patterns on one document, so label classes built for one
+    # (label, text test) serve the next, with and without tests on a label.
+    rng = random.Random(seed)
+    t = generate_tree(
+        TreeGenConfig(depth=rng.randint(4, 5), fanout=4, labels=("a", "b", "c"), seed=rng.randrange(10**6))
+    )
+    for _ in range(4):
+        out_label = rng.choice("abc")
+        q1 = _with_tests(rng, random_tree_pattern(rng, mb_len=rng.randint(1, 3), out_label=out_label))
+        q2 = _with_tests(rng, random_tree_pattern(rng, mb_len=rng.randint(1, 3), out_label=out_label))
+        want1, want2 = brute_eval(q1, t), brute_eval(q2, t)
+        assert eval_tree_pattern(q1, t) == want1
+        assert eval_tree_pattern(q2, t) == want2
+        d = dag_intersect([q1, q2])
+        assert eval_dag_pattern(d, t) == brute_eval(d, t)
 
 
 def test_eval_dag_empty_pattern():
@@ -444,6 +475,15 @@ def test_eval_sees_nodes_added_after_an_evaluation():
     a2 = t.add_node("a", t.add_node("b", a))
     assert eval_tree_pattern(below_a, t) == {a2}
     assert eval_tree_pattern(any_a, t) == {a, a2}
+    # the label classes of text-tested nodes are rebuilt too
+    x_below = tree_from_text('doc("L")//a[c="x"]')
+    assert eval_tree_pattern(x_below, t) == set()
+    t.add_node("c", a2, "x")
+    t.add_node("c", a, "y")
+    assert eval_tree_pattern(x_below, t) == {a2}
+    t.add_node("c", a, "x")
+    assert eval_tree_pattern(x_below, t) == {a, a2}
+    assert eval_tree_pattern(tree_from_text('doc("L")//a[c="y"]'), t) == {a}
 
 
 def test_generate_tree_deterministic():
@@ -732,3 +772,97 @@ def test_plan_from_a_large_view_with_nested_predicates():
     want = eval_tree_pattern(q, t)
     assert len(want) == 22
     assert eval_plan(out.plan.expr, materialize_all(views, t)) == want
+
+
+def test_plans_over_a_store_that_grows():
+    # A store filled by one materialize_view grows through a second; plans
+    # over the first view document, evaluated before and after, and over
+    # both, still equal their definition.  The first round of plans builds
+    # the store's parents_of sets and the first view's answer-root set.
+    labels = ("a", "b", "c")
+    rng = random.Random(41)
+    answered = 0
+    for _ in range(30):
+        t = generate_tree(
+            TreeGenConfig(depth=rng.randint(4, 6), fanout=3, labels=labels, seed=rng.randrange(10**6))
+        )
+        views = ViewSet(
+            {
+                "w1": random_tree_pattern(rng, mb_len=rng.randint(1, 3), labels=labels, pred_prob=0.3),
+                "w2": tree_from_text(f'doc("L")//{rng.choice(labels)}'),
+            }
+        )
+        store = XmlTree()
+        docs = {"w1": materialize_view(views["w1"], "w1", t, store)}
+        before = [_random_plan(rng, {"w1": views["w1"]}, 2, rng.choice(labels), labels) for _ in range(4)]
+        for plan in before:
+            assert eval_plan(plan, docs) == _plan_on_base(plan, views, t), print_expr(plan)
+        docs["w2"] = materialize_view(views["w2"], "w2", t, store)
+        assert docs["w2"].tree is docs["w1"].tree
+        after = [_random_plan(rng, views, 3, rng.choice(labels), labels) for _ in range(6)]
+        for plan in before + after:
+            want = _plan_on_base(plan, views, t)
+            assert eval_plan(plan, docs) == want, print_expr(plan)
+            assert _compile(plan, docs).filter(set(t.labels)) == want, print_expr(plan)
+            answered += bool(want)
+    assert answered >= 50
+
+
+def test_results_belong_to_the_caller(lib_tree):
+    # A result shares nothing with the caches behind it: emptying it, or
+    # adding to it, leaves the next evaluation unchanged.
+    t = lib_tree
+    views = ViewSet.from_texts(dict(V10, v4='doc("L")//image', v5='doc("L")/lib'))
+    docs = materialize_all(views, t)
+    one = Pattern()
+    one.root = one.out = one.add_node("L")
+    calls = [
+        (eval_tree_pattern, one, t),  # the root's pool
+        (eval_tree_pattern, tree_from_text('doc("L")//image'), t),  # an output leaf
+        (eval_tree_pattern, tree_from_text('doc("L")//section[theorem]'), t),
+        (eval_dag_pattern, unfold_expr(parse('doc("v1")/v1 & doc("v2")/v2'), views), t),
+        (eval_dag_pattern, dag_intersect([tree_from_text('doc("L")//image'), views["v3"]]), t),
+        (eval_plan, parse('doc("v4")/v4'), docs),
+        (eval_plan, parse('doc("v5")/v5 & doc("v5")/v5'), docs),
+        (eval_plan, parse('doc("v4")/v4 & doc("v3")/v3'), docs),
+        (eval_plan, parse('doc("v1")/v1 & doc("v2")/v2'), docs),
+        (eval_plan, parse('(doc("v1")/v1 & doc("v2")/v2)//image & doc("v4")/v4'), docs),
+    ]
+    for f, x, on in calls:
+        want = f(x, on)
+        assert want
+        for change in (set.clear, lambda s: s.update(t.labels)):
+            got = f(x, on)
+            assert got == want and got is not want
+            change(got)
+            assert f(x, on) == want, x
+
+
+def test_trees_are_freed_with_their_documents():
+    # No cache outlives the trees it was built for: once the base document
+    # and the view documents are dropped, both trees are freed, and so is
+    # every set built for them (label classes, parents_of, answer roots).
+    import gc
+    import tracemalloc
+    import weakref
+
+    def evaluate():
+        t = generate_tree(TreeGenConfig(depth=7, fanout=4, labels=("a", "b", "c"), seed=1))
+        views = ViewSet.from_texts({"v": 'doc("L")//a', "w": 'doc("L")//b[c]//a', "u": 'doc("L")//c'})
+        docs = materialize_all(views, t)
+        assert eval_plan(parse('doc("v")/v[b] & doc("w")/w & doc("u")/u//a'), docs)
+        assert eval_tree_pattern(tree_from_text('doc("L")//b[c="x"]//a[b]'), t)
+        return [weakref.ref(t), weakref.ref(docs["v"].tree)]
+
+    evaluate()  # any lazy module state is built once here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        refs = evaluate()
+        gc.collect()
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r() for r in refs] == [None, None]
+    assert left - before < 8_000 and peak - before > 400_000
