@@ -35,8 +35,8 @@ class XmlTree:
         self.parent: dict[int, Optional[int]] = {}
         self.root: int = -1
         self._next = 0
-        self._rank: Optional[list[int]] = None
-        self._end: list[int] = []
+        self._rank: Optional[list[int] | dict[int, int]] = None
+        self._end: list[int] | dict[int, int] = []
         self._ranked: dict[str, tuple[list[int], list[int]]] = {}
         self._parents: dict[str, set[int]] = {}
         self._classes: dict[tuple[str, Optional[str]], frozenset[int]] = {}
@@ -65,16 +65,20 @@ class XmlTree:
         # Preorder ranks over every parentless node: the subtree of n is the
         # rank interval [rank[n], end[n]) (region encoding), and each label
         # keeps its nodes, and their ranks, in preorder.  Ranks and ends are
-        # lists indexed by node id: a store's ids are its base document's,
-        # so they never exceed the base document's size.
+        # lists indexed by node id, as a base document's or a shared store's
+        # ids are dense.  A store's ids are its base document's, so a store
+        # holding under an eighth of that id range keeps dicts instead, and
+        # its index costs what it holds (a dict entry takes about eight list
+        # slots).
         order: list[int] = []
         stack = [n for n, p in self.parent.items() if p is None]
         while stack:
             n = stack.pop()
             order.append(n)
             stack.extend(reversed(self.children[n]))
-        rank = [0] * (max(self.parent, default=-1) + 1)
-        end = rank[:]
+        width = max(self.parent, default=-1) + 1
+        rank: list[int] | dict[int, int] = [0] * width if 8 * len(order) >= width else {}
+        end = rank.copy()
         ranked: dict[str, tuple[list[int], list[int]]] = {}
         labels = self.labels
         for i, n in enumerate(order):
@@ -107,8 +111,9 @@ class XmlTree:
 
     def label_class(self, label: str, test: Optional[str] = None) -> frozenset[int]:
         """The nodes labelled ``label`` whose text is ``test`` (any text
-        when None), built on first use and kept until the tree is indexed
-        again."""
+        when None).  A class that is not empty is kept until the tree is
+        indexed again, so what is kept grows with the tree, not with the
+        labels and texts that queries ask for."""
         if self._rank is None:
             self._index()
         got = self._classes.get((label, test))
@@ -117,7 +122,9 @@ class XmlTree:
             if test is not None:
                 texts = self.texts
                 nodes = [n for n in nodes if texts[n] == test]
-            got = self._classes[label, test] = frozenset(nodes)
+            got = frozenset(nodes)
+            if got:
+                self._classes[label, test] = got
         return got
 
     def span(self, n: int, label: str) -> tuple[list[int], int, int]:
@@ -129,27 +136,19 @@ class XmlTree:
         lo = bisect_right(ranks, self._rank[n])
         return nodes, lo, bisect_left(ranks, self._end[n], lo)
 
-    def outermost(self, nodes: Collection[int]) -> list[int]:
+    def outermost(self, nodes: Iterable[int]) -> list[int]:
         """The nodes of ``nodes`` without a strict ancestor among them, in
-        preorder.  Nodes that arrive in preorder, as ``desc_step`` gives
-        them, are not sorted again."""
+        preorder."""
         if self._rank is None:
             self._index()
         rank, end = self._rank, self._end
-        todo = nodes
-        while True:
-            out: list[int] = []
-            reach = last = -1
-            for n in todo:
-                r = rank[n]
-                if r >= reach:
-                    out.append(n)
-                    reach, last = end[n], r
-                elif r < last:  # before the last node kept, so not in preorder
-                    break
-            else:
-                return out
-            todo = sorted(nodes, key=rank.__getitem__)  # not in preorder: once more, sorted
+        out: list[int] = []
+        reach = -1
+        for n in sorted(nodes, key=rank.__getitem__):
+            if rank[n] >= reach:
+                out.append(n)
+                reach = end[n]
+        return out
 
     def up(self, ys: Iterable[int], axis: str) -> set[int]:
         """The parents of ``ys`` (axis /), or all their strict ancestors

@@ -180,10 +180,11 @@ class _SignatureTrie:
                 if node in first:
                     continue
                 first[node] = j
-                for label, below in (node.desc or {}).items():
-                    for k in at.get(label, ()):
-                        if k > j:
-                            reached[k].add(below)
+                if node.desc:
+                    for label, below in node.desc.items():
+                        for k in at.get(label, ()):
+                            if k > j:
+                                reached[k].add(below)
         return sorted((name, v, j) for node, j in first.items() for name, v in node.views or ())
 
 

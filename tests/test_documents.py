@@ -486,6 +486,24 @@ def test_eval_sees_nodes_added_after_an_evaluation():
     assert eval_tree_pattern(tree_from_text('doc("L")//a[c="y"]'), t) == {a}
 
 
+def test_text_tests_keep_what_the_tree_holds():
+    # The label classes kept for direct evaluation grow with the document,
+    # not with the queries: 300 text literals and 300 labels that no node
+    # holds add nothing to one set per label and per (label, text) that the
+    # document holds.
+    t = generate_tree(TreeGenConfig(depth=5, fanout=4, labels=("a", "b", "c"), seed=3))
+    pairs = {(t.labels[n], t.texts[n]) for n in t.labels}
+    for i in range(300):
+        for text in (f'doc("L")//a[b="lit{i}"]', f'doc("L")/b//c[a="lit{i}"]/b', f'doc("L")//b[q{i}]'):
+            assert eval_tree_pattern(tree_from_text(text), t) == set()
+    for text in ('doc("L")//a[b="x"]', 'doc("L")//c[a="y"]//b[c]', 'doc("L")//a[b="lit0"]'):
+        q = tree_from_text(text)
+        assert eval_tree_pattern(q, t) == brute_eval(q, t)
+    labels = {label for label, _ in pairs}
+    assert t._classes
+    assert all(label in labels if test is None else (label, test) in pairs for label, test in t._classes)
+
+
 def test_generate_tree_deterministic():
     cfg = TreeGenConfig(depth=4, fanout=3, seed=12)
     t1, t2 = generate_tree(cfg), generate_tree(cfg)
@@ -866,3 +884,31 @@ def test_trees_are_freed_with_their_documents():
         tracemalloc.stop()
     assert [r() for r in refs] == [None, None]
     assert left - before < 8_000 and peak - before > 400_000
+
+
+def test_plans_over_sparse_stores():
+    # Selective views, each materialized into a store of its own that holds
+    # a small part of the document's ids, so its preorder index is kept in
+    # dicts rather than lists sized by the id range; plans over them, with
+    # // steps and predicates, equal their definition.
+    labels = ("a", "b", "c", "d")
+    rng = random.Random(53)
+    answered = sparse = 0
+    for _ in range(25):
+        t = generate_tree(TreeGenConfig(depth=8, fanout=4, labels=labels, seed=rng.randrange(10**6)))
+        views = ViewSet(
+            {
+                f"w{i}": random_tree_pattern(rng, mb_len=rng.randint(3, 4), labels=labels, pred_prob=0.3, dd_prob=0.9)
+                for i in range(3)
+            }
+        )
+        docs = {name: materialize_view(v, name, t) for name, v in views.items()}
+        for vd in docs.values():
+            vd.tree.nodes_labelled("a")  # indexes the store
+            sparse += isinstance(vd.tree._rank, dict)
+        for _ in range(10):
+            plan = _random_plan(rng, views, 2, rng.choice(labels), labels, p=0.3)
+            want = _plan_on_base(plan, views, t)
+            assert eval_plan(plan, docs) == want, print_expr(plan)
+            answered += bool(want)
+    assert sparse >= 30 and answered >= 40, (sparse, answered)
