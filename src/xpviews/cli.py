@@ -297,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="xpviews",
         description="Rewrite wildcard-free XPath queries using intersections "
         "of materialized views.  Expressions may be given inline or as "
-        "@file.  View documents carry one answer subtree per hit under a "
-        "root named after the view; an origid marker records original ids.",
+        "@file.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -439,69 +439,6 @@ def materialize_all(views: ViewSet, t: XmlTree) -> dict[str, ViewDocument]:
     return _fill(views.items(), t, XmlTree())
 
 
-ORIGID_LABEL = "__origid"
-
-
-def view_document_to_xml(vd: ViewDocument) -> str:
-    """Serialize a view document: below a root named after the view, the
-    subtrees of its outermost answers, each answer root carrying a reserved
-    ``__origid`` marker element with its original node id as first child."""
-    t, answers = vd.tree, set(vd.answer_roots)
-    marked = XmlTree()
-    top = marked.add_node(vd.name, None)
-    # (store node, parent in the marked tree), popped in preorder
-    stack = [(n, top) for n in reversed(t.outermost(answers))]
-    while stack:
-        n, parent = stack.pop()
-        nid = marked.add_node(t.labels[n], parent, t.texts[n])
-        if n in answers:
-            marked.add_node(ORIGID_LABEL, nid, str(n))
-        stack.extend((c, nid) for c in reversed(t.children[n]))
-    return print_xml(marked)
-
-
-def view_document_from_xml(text: str, base: XmlTree) -> ViewDocument:
-    """Rebuild a view document in a new store.  Ids of unmarked nodes are
-    recovered by walking the base document from the nearest marked answer
-    root (copies preserve child order)."""
-    marked = parse_xml(text)
-    store = XmlTree()
-    answers: set[int] = set()
-    # (marked node, its original id, the original of its parent); the
-    # original of an outermost answer is read from its marker
-    stack: list[tuple[int, Optional[int], Optional[int]]] = [
-        (c, None, None) for c in reversed(marked.children[marked.root])
-    ]
-    while stack:
-        n, orig, parent = stack.pop()
-        kids = marked.children[n]
-        markers = [c for c in kids if marked.labels[c] == ORIGID_LABEL]
-        if len(markers) > 1:
-            raise UnsupportedXml("a node carries several __origid markers")
-        if orig is None and not markers:
-            raise UnsupportedXml("answer root lacks its __origid marker")
-        if markers:
-            mark = int(marked.texts[markers[0]])
-            if orig not in (None, mark):
-                raise UnsupportedXml("__origid marker does not match the base document")
-            orig = mark
-            answers.add(orig)
-            kids = [c for c in kids if c != markers[0]]
-        base_kids = base.children.get(orig)
-        if base_kids is None or len(base_kids) != len(kids):
-            raise UnsupportedXml("view copy does not match the base document")
-        if orig in store.labels:  # a nested answer written out twice
-            if parent is not None:
-                store.parent[orig] = parent
-            continue
-        store.labels[orig] = marked.labels[n]
-        store.texts[orig] = marked.texts[n]
-        store.children[orig] = list(base_kids)
-        store.parent[orig] = parent
-        stack.extend((c, bc, orig) for c, bc in zip(reversed(kids), reversed(base_kids)))
-    return ViewDocument(marked.labels[marked.root], store, tuple(sorted(answers)))
-
-
 def _steps_pattern(head_preds: tuple[Pred, ...], steps: tuple[Step, ...]) -> Pattern:
     """Tree pattern of a navigation: a root carrying ``head_preds``, then
     ``steps``.  The root stands for the start nodes; its label is unused."""

@@ -359,14 +359,12 @@ def tree_from_text(text: str) -> Pattern:
 class ViewSet:
     """Named view definitions (absolute XP patterns over the base document).
 
-    The rewriter keeps two derived structures here, each built on its first
-    use: the extended skeletons of the definitions, which ``define`` drops,
-    and the trie of their main-branch signatures (``rewrite._SignatureTrie``),
-    to which ``define`` adds the one new view."""
+    The rewriter keeps the trie of their main-branch signatures here
+    (``rewrite._SignatureTrie``), built on its first use; ``define`` adds the
+    one new view to it."""
 
     def __init__(self, defs: Optional[dict[str, Pattern]] = None):
         self.defs: dict[str, Pattern] = {}
-        self._skeletons: Optional[ViewSet] = None
         self._trie = None
         if defs:
             for name, pat in defs.items():
@@ -381,7 +379,6 @@ class ViewSet:
             raise ValueError(f"duplicate view name {name!r}")
         pattern.validate()
         self.defs[name] = pattern
-        self._skeletons = None
         if self._trie is not None:
             self._trie.add(name, pattern)
 
@@ -475,7 +472,9 @@ def _merge_run(p: Pattern, pairs: Iterable[tuple[int, int]], merge=_merge_nodes)
 
 
 def dag_intersect(parts: list[Pattern]):
-    """Coalesce roots and outputs of the given patterns (the ∩ operator)."""
+    """Coalesce roots and outputs of the given patterns (the ∩ operator).  A
+    coalesced node carries every text test of the nodes it merges, so two
+    different tests make the intersection EMPTY."""
     parts = [q for q in parts]
     if any(q is EMPTY for q in parts):
         return EMPTY
@@ -483,7 +482,9 @@ def dag_intersect(parts: list[Pattern]):
         raise ValueError("empty intersection")
     labels_r = {q.nodes[q.root].label for q in parts}
     labels_o = {q.nodes[q.out].label for q in parts}
-    if len(labels_r) > 1 or len(labels_o) > 1:
+    tests_r = {q.test(q.root) for q in parts} - {None}
+    tests_o = {q.test(q.out) for q in parts} - {None}
+    if max(len(labels_r), len(labels_o), len(tests_r), len(tests_o)) > 1:
         return EMPTY
     degenerate = {q.root == q.out for q in parts}
     if degenerate == {True, False}:
@@ -496,6 +497,8 @@ def dag_intersect(parts: list[Pattern]):
     for q, ren in zip(parts[1:], rens[1:]):
         pairs += [(acc.root, ren[q.root]), (acc.out, ren[q.out])]
     _merge_run(acc, pairs)
+    for n, tests in ((acc.root, tests_r), (acc.out, tests_o)):
+        acc.nodes[n] = PNode(acc.label(n), next(iter(tests), None))
     return acc
 
 

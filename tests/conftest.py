@@ -617,17 +617,16 @@ def all_pairs_rewrite(q: Pattern, views: ViewSet, mode: str) -> tuple:
     decides each prefix on the rule fixpoint of all its pairs, with no
     screen and no least pairs."""
     from xpviews.pattern import compensate_expr, lossless_prefixes, unfold_expr
-    from xpviews.rewrite import _contained, _plan_expr, _skeleton_views
+    from xpviews.rewrite import _contained, _plan_expr
     from xpviews.rules import apply_rules
     from xpviews.syntax import print_expr
 
-    dag_views = _skeleton_views(views) if classify(q) is FragmentClass.EXTENDED_SKELETON else views
     for p in lossless_prefixes(q):
         pairs = view_pairs(views, p)
         if not pairs:
             continue
         expr = _plan_expr(pairs, p)
-        if _contained(apply_rules(unfold_expr(expr, dag_views))[0], p, mode)[0]:
+        if _contained(apply_rules(unfold_expr(expr, views))[0], p, mode)[0]:
             return "rewritten", print_expr(compensate_expr(expr, q, p.out)), main_branch(q).index(p.out)
     return "noRewriting", None, None
 

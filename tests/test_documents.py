@@ -175,8 +175,6 @@ def test_nested_answers_are_held_once():
     # has a <b> child.
     import time
 
-    from xpviews.documents import view_document_from_xml, view_document_to_xml
-
     depth = 2_000
     t = parse_xml("<L><a><b/>" + "<a>" * (depth - 1) + "</a>" * depth + "</L>")
     views = ViewSet.from_texts({"v": 'doc("L")//a', "w": 'doc("L")/a'})
@@ -199,16 +197,6 @@ def test_nested_answers_are_held_once():
         # linear work takes milliseconds; a climb or a pool copied per
         # answer (quadratic in the depth) takes seconds
         assert time.perf_counter() - t0 < 0.5, plan
-    # serialized once, each answer root marked
-    text = view_document_to_xml(vd)
-    assert text.count("<a>") == depth and text.count("<__origid>") == depth
-    back = view_document_from_xml(text, t)
-    assert back.answer_roots == vd.answer_roots
-    assert _held(back.tree) == _held(vd.tree)
-
-
-def _held(store):
-    return store.labels, store.texts, store.parent, store.children
 
 
 def test_plan_eval_equals_direct(lib_tree):
@@ -381,30 +369,10 @@ def test_print_xml_deep_chain_is_linear():
     )
 
 
-def test_view_document_xml_round_trip(lib_tree):
-    from xpviews.documents import view_document_from_xml, view_document_to_xml
-
-    views = ViewSet.from_texts(V10)
-    vd = materialize_view(views["v2"], "v2", lib_tree)
-    text = view_document_to_xml(vd)
-    assert "__origid" in text
-    back = view_document_from_xml(text, lib_tree)
-    assert back.name == vd.name
-    assert back.answer_roots == vd.answer_roots
-    # deep originals are recovered as well
-    assert _held(back.tree) == _held(vd.tree)
-    docs = {"v2": back}
-    got = eval_plan(parse('doc("v2")/v2'), docs)
-    assert got == eval_tree_pattern(views["v2"], lib_tree)
-
-
 def test_deep_chain_round_trip():
     # 10^4 levels: an <a> chain with a <b> at depth 8,000, so the view
-    # //b holds a 2,000-deep copy, which is serialized as a view document;
-    # the whole chain's text form is checked by
-    # test_print_xml_deep_chain_is_linear.
-    from xpviews.documents import view_document_from_xml, view_document_to_xml
-
+    # //b holds a 2,000-deep copy; the whole chain's text form is checked
+    # by test_print_xml_deep_chain_is_linear.
     depth, below = 10_000, 2_000
     text = (
         "<L>" + "<a>" * (depth - below) + "<b>" + "<a>" * (below - 1) + "<c/>"
@@ -415,16 +383,10 @@ def test_deep_chain_round_trip():
     views = ViewSet.from_texts({"v": 'doc("L")//b'})
     vd = materialize_view(views["v"], "v", t)
     assert vd.tree.size() == below + 1
-    xml = view_document_to_xml(vd)
-    assert xml.count("<a>") == below - 1
-    back = view_document_from_xml(xml, t)
-    assert _held(back.tree) == _held(vd.tree) and back.answer_roots == vd.answer_roots
-    (b,) = vd.answer_roots
-    assert print_xml(back.tree, b) == print_xml(vd.tree, b)
     want = eval_tree_pattern(tree_from_text('doc("L")//b//a[c]'), t)
     assert len(want) == 1
-    assert eval_plan(parse('doc("v")/v//a[c]'), {"v": back}) == want
-    assert eval_plan(parse('(doc("v")/v)//a[c]'), {"v": back}) == want
+    assert eval_plan(parse('doc("v")/v//a[c]'), {"v": vd}) == want
+    assert eval_plan(parse('(doc("v")/v)//a[c]'), {"v": vd}) == want
 
 
 def test_descendant_steps_are_linear_in_depth():

@@ -6,8 +6,11 @@ from xpviews import (
     EMPTY,
     ViewSet,
     dag_from_expr,
+    eval_dag_pattern,
+    eval_tree_pattern,
     lossless_prefixes,
     main_branch,
+    parse_xml,
     pattern_from_json,
     pattern_to_json,
     subpattern_at,
@@ -16,6 +19,7 @@ from xpviews import (
     unfold_expr,
 )
 from xpviews.pattern import (
+    PNode,
     canon_key,
     compensate_expr,
     compensate_pattern,
@@ -176,6 +180,31 @@ def test_json_round_trip():
         doc[key] = 7
         with pytest.raises(ValueError, match="must be nodes"):
             pattern_from_json(json.dumps(doc))
+
+
+def _tested(text: str, out_test, root_test=None):
+    """The pattern of ``text`` with text tests on its output and its root.
+    Neither XP nor ``pattern_from_json`` (``validate``) accepts a test on a
+    main-branch node, so they are set on the nodes directly."""
+    p = tree_from_text(text)
+    for n, test in ((p.root, root_test), (p.out, out_test)):
+        p.nodes[n] = PNode(p.label(n), test)
+    return p
+
+
+def test_intersection_keeps_every_merged_text_test():
+    # dag_intersect coalesces the roots and the outputs; each merged node
+    # must pass every test of the nodes it merges
+    t = parse_xml("<L><a><c>x</c><c>y</c><c/></a><c>x</c></L>")
+    for first, second, want in [("y", "x", EMPTY), (None, "x", "x"), ("x", "x", "x"), (None, None, None)]:
+        parts = [_tested('doc("L")/a/c', first), _tested('doc("L")//c', second)]
+        d = dag_intersect(parts)
+        assert (EMPTY if d is EMPTY else d.test(d.out)) == want
+        assert eval_dag_pattern(d, t) == set.intersection(*(eval_tree_pattern(p, t) for p in parts))
+    parts = [_tested('doc("L")/a/c', None, "y"), _tested('doc("L")//c', None, "x")]
+    assert dag_intersect(parts) is EMPTY
+    d = dag_intersect([_tested('doc("L")/a/c', None), _tested('doc("L")//c', None, "x")])
+    assert (d.test(d.root), d.test(d.out)) == ("x", None)
 
 
 def test_to_text_rejects_a_root_predicate():

@@ -46,7 +46,7 @@ from xpviews.pattern import (
     pattern_to_json,
     to_text,
 )
-from xpviews.rewrite import _pairs_on, _plan_expr, _screen, _signature, _skeleton_views, _view_images
+from xpviews.rewrite import _pairs_on, _plan_expr, _screen, _signature, _view_images
 from xpviews.syntax import CHILD, DESC, parse, print_expr
 from xpviews.workload import CATEGORIES
 
@@ -54,6 +54,7 @@ from conftest import (
     _embeds,
     all_pairs_rewrite,
     best_comp,
+    canonical_model,
     dag_contained_in_dag,
     embedding_ends,
     equivalent_by_minimization,
@@ -140,6 +141,44 @@ def test_plan_evaluates_like_query():
         )
         docs = materialize_all(vs, t)
         assert eval_plan(plan.expr, docs) == eval_tree_pattern(q, t)
+
+
+# Extended-skeleton queries whose rewritings unfold only over the views
+# themselves: the views' extended skeletons prune a // subpredicate that the
+# plan needs, so deciding over the skeletons found no rewriting.
+SKELETON_MISSES = [
+    ('doc("L")/c[b//a]/a//a', {"v1": 'doc("L")/c/a//a', "v3": 'doc("L")/c[b//a]//a//a'}),
+    (
+        'doc("L")/c[c//c]/b//c/a//b[a]',
+        {"v1": 'doc("L")/c/b//c', "v2": 'doc("L")/c[c//c]//b//c/a//b[a]'},
+    ),
+    (
+        'doc("L")/c[c//c]/b//c//c',
+        {"v1": 'doc("L")/c/b//c//c', "v2": 'doc("L")/c//b', "v3": 'doc("L")/c[c//c]//b'},
+    ),
+    (
+        'doc("L")/b[b//c]/c[c]//a[a]',
+        {"v0": 'doc("L")/b/c[c]//a', "v1": 'doc("L")/b//c', "v2": 'doc("L")/b[b//c]//c//a'},
+    ),
+]
+
+
+@pytest.mark.parametrize("query, defs", SKELETON_MISSES, ids=[q for q, _ in SKELETON_MISSES])
+def test_es_rewriting_needs_the_views_themselves(query, defs):
+    q = tree_from_text(query)
+    views = ViewSet.from_texts(defs)
+    assert classify(q) is FragmentClass.EXTENDED_SKELETON
+    model = canonical_model(q)
+    assert eval_tree_pattern(q, model)
+    docs = [model] + [
+        generate_tree(TreeGenConfig(depth=6, fanout=3, labels=("a", "b", "c"), seed=seed))
+        for seed in range(4)
+    ]
+    for mode in (EFFICIENT, FULL):
+        out = rewrite_detailed(q, views, mode)
+        assert out.status == "rewritten", mode
+        for t in docs:
+            assert eval_plan(out.plan.expr, materialize_all(views, t)) == eval_tree_pattern(q, t), mode
 
 
 def test_all_rewrites_yields_passing_subsets():
@@ -415,15 +454,6 @@ def test_images_need_a_tree_source():
         root_mapping_out_images(d, tree_from_text('doc("L")/b/a'))
 
 
-def test_skeleton_views_are_kept_until_define():
-    vs = ViewSet.from_texts({"v1": 'doc("L")//a[.//b]/b'})
-    first = _skeleton_views(vs)
-    assert _skeleton_views(vs) is first
-    vs.define("v2", tree_from_text('doc("L")//b'))
-    again = _skeleton_views(vs)
-    assert again is not first and list(again) == ["v1", "v2"]
-
-
 def test_outcome_reports_phase_timings():
     out = rewrite_detailed(tree_from_text(Q10), views10(), FULL)
     t = out.timings
@@ -511,9 +541,8 @@ def _confirm_refutations(q, views, mode, refuted) -> int:
     del refuted[:]
     out = rewrite_detailed(q, views, mode)
     assert out.witness_refutations == len(refuted)
-    dag_views = _skeleton_views(views) if classify(q) is FragmentClass.EXTENDED_SKELETON else views
     for p in refuted:
-        d = unfold_expr(_plan_expr(view_pairs(views, p), p), dag_views)
+        d = unfold_expr(_plan_expr(view_pairs(views, p), p), views)
         assert not dag_contained_in_tree(d, p), (to_text(q), to_text(p))
     return len(refuted)
 
